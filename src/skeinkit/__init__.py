@@ -18,8 +18,8 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .hecke import homfly_closed_braid
-from .jones import LaurentPoly1, jones_via_bracket, specialize_homfly_to_jones
-from .laurent import DELTA, LaurentPoly2, delta_power
+from .jones import jones_via_bracket, specialize_homfly_to_jones
+from .laurent import DELTA, LaurentPoly1, LaurentPoly2, delta_power
 from .satellite import (
     PUSHOFF_LINKING_SIGN,
     TwistSite,

@@ -174,7 +174,7 @@ def _cmd_homfly(args) -> int:
                 )
             hecke_poly = homfly_closed_braid(word)
     except BudgetExceededError as exc:
-        rep.skip("computation", f"budget exhausted: {exc}")
+        rep.skip("computation", f"budget exhausted: {exc.args[0]}")
         _emit([rep], args.out)
         return 1
 

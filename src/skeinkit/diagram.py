@@ -345,11 +345,6 @@ class LinkDiagram:
                     break
         return bad
 
-    def first_non_descending_crossing(self):
-        """Index of the first crossing met on its understrand, or None."""
-        bad = self.non_descending_crossings()
-        return bad[0] if bad else None
-
     # -- canonical encoding ------------------------------------------------
 
     def canonical_code(self) -> bytes:

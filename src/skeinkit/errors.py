@@ -16,7 +16,8 @@ class DiagramError(SkeinKitError):
 class BudgetExceededError(SkeinKitError):
     """A computation ran out of its node or wall-clock budget.
 
-    Carries partial statistics; never a wrong polynomial.
+    Carries partial statistics; never a wrong polynomial.  ``args[0]`` is
+    the bare reason; ``str()`` appends the nodes used and the seconds spent.
     """
 
     def __init__(self, message, *, nodes=None, elapsed=None, memo_size=None):
@@ -24,6 +25,14 @@ class BudgetExceededError(SkeinKitError):
         self.nodes = nodes
         self.elapsed = elapsed
         self.memo_size = memo_size
+
+    def __str__(self) -> str:
+        text = super().__str__()
+        if self.nodes is not None:
+            text += f" after {self.nodes} nodes"
+        if self.elapsed is not None:
+            text += f" in {self.elapsed:.3f} s"
+        return text
 
 
 class ResourceLimitError(SkeinKitError):

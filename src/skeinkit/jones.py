@@ -24,133 +24,10 @@ oriented smoothing; mirror for negative):
 from __future__ import annotations
 
 from .diagram import LinkDiagram
-from .errors import ResourceLimitError, SkeinKitError
-from .laurent import LaurentPoly2
+from .errors import ResourceLimitError
+from .laurent import LaurentPoly1, LaurentPoly2
 
-__all__ = ["LaurentPoly1", "jones_via_bracket", "specialize_homfly_to_jones"]
-
-
-class LaurentPoly1:
-    """One-variable Laurent polynomial over Python ints (variable ``a``)."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=None):
-        data = {}
-        if terms:
-            for e, c in (terms.items() if isinstance(terms, dict) else terms):
-                if c:
-                    c2 = data.get(e, 0) + c
-                    if c2:
-                        data[e] = c2
-                    elif e in data:
-                        del data[e]
-        self._terms = data
-
-    @staticmethod
-    def monomial(coeff: int, e: int = 0) -> "LaurentPoly1":
-        return LaurentPoly1({e: coeff})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def terms(self) -> dict:
-        return dict(self._terms)
-
-    def __eq__(self, other):
-        if isinstance(other, LaurentPoly1):
-            return self._terms == other._terms
-        if isinstance(other, int):
-            return self._terms == ({0: other} if other else {})
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other):
-        data = dict(self._terms)
-        for e, c in other._terms.items():
-            c2 = data.get(e, 0) + c
-            if c2:
-                data[e] = c2
-            elif e in data:
-                del data[e]
-        return LaurentPoly1(data)
-
-    def __neg__(self):
-        return LaurentPoly1({e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return LaurentPoly1({e: c * other for e, c in self._terms.items()})
-        data = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                c = data.get(e, 0) + c1 * c2
-                if c:
-                    data[e] = c
-                elif e in data:
-                    del data[e]
-        return LaurentPoly1(data)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers are not defined")
-        result = LaurentPoly1({0: 1})
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def exact_div(self, divisor: "LaurentPoly1") -> "LaurentPoly1":
-        """Exact quotient; raises if the division leaves a remainder.
-
-        Laurent division from the top descends forever on inexact input,
-        so the quotient exponent is bounded below by the difference of the
-        bottom degrees: falling past it proves the division inexact.
-        """
-        if divisor.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero:
-            return LaurentPoly1()
-        rem = dict(self._terms)
-        d_top = max(divisor._terms)
-        d_lead = divisor._terms[d_top]
-        e_min = min(self._terms) - min(divisor._terms)
-        quot = {}
-        while rem:
-            top = max(rem)
-            c, r = divmod(rem[top], d_lead)
-            e = top - d_top
-            if r or e < e_min:
-                raise SkeinKitError("inexact Laurent division")
-            quot[e] = c
-            for de, dc in divisor._terms.items():
-                key = de + e
-                c2 = rem.get(key, 0) - dc * c
-                if c2:
-                    rem[key] = c2
-                elif key in rem:
-                    del rem[key]
-        return LaurentPoly1(quot)
-
-    def format_text(self) -> str:
-        if not self._terms:
-            return "0"
-        return " + ".join(f"{self._terms[e]}*a^{e}" for e in sorted(self._terms))
-
-    def __repr__(self):
-        return f"LaurentPoly1({self.format_text()!r})"
+__all__ = ["jones_via_bracket", "specialize_homfly_to_jones"]
 
 
 _LOOP = LaurentPoly1({2: -1, -2: -1})  # -A^2 - A^-2

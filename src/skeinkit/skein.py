@@ -111,23 +111,23 @@ class SkeinEngine:
         """The HOMFLYPT polynomial of the link of d."""
         if d.is_empty():
             raise DiagramError("the empty diagram has no HOMFLYPT polynomial")
-        deadline = None
-        if self.wall_seconds is not None:
-            deadline = time.monotonic() + self.wall_seconds
+        t0 = time.monotonic()
         exponent, pieces = _decompose(d)
         for code, piece in pieces:
-            self._resolve(piece, code, deadline)
+            self._resolve(piece, code, t0)
         result = delta_power(exponent)
         for code, _ in pieces:
             result = result * self.memo[code]
         _self_check(d, result)
         return result
 
-    def _resolve(self, piece0: LinkDiagram, code0: bytes, deadline) -> None:
+    def _resolve(self, piece0: LinkDiagram, code0: bytes, t0: float) -> None:
+        """Evaluate one piece into the memo; ``t0`` is when homfly() began."""
         memo = self.memo
         if code0 in memo:
             self.memo_hits += 1
             return
+        deadline = None if self.wall_seconds is None else t0 + self.wall_seconds
         nodes = {}
         stack = [(code0, piece0)]
         while stack:
@@ -142,12 +142,14 @@ class SkeinEngine:
                     raise BudgetExceededError(
                         "skein node budget exhausted",
                         nodes=self.nodes_expanded,
+                        elapsed=time.monotonic() - t0,
                         memo_size=len(memo),
                     )
                 if deadline is not None and time.monotonic() > deadline:
                     raise BudgetExceededError(
                         "skein wall-clock budget exhausted",
                         nodes=self.nodes_expanded,
+                        elapsed=time.monotonic() - t0,
                         memo_size=len(memo),
                     )
                 bad = piece.non_descending_crossings()
@@ -210,7 +212,11 @@ def _decompose(d: LinkDiagram):
 
 
 def _self_check(d: LinkDiagram, p: LaurentPoly2) -> None:
-    """Degree and parity guards; a violation means an engine bug."""
+    """The Morton-bound and exponent-parity guard on every value homfly() returns.
+
+    It is the only such guard: reports do not repeat it.  A violation means
+    an engine bug.
+    """
     st = d.stats()
     if p.is_zero:
         raise AssertionError("engine produced the zero polynomial")

@@ -164,17 +164,6 @@ def test_canonical_code_separates_component_structure():
     assert two_hopfs.canonical_code() != closure([1, 1, 1, 1]).canonical_code()
 
 
-def test_first_non_descending_crossing():
-    # all-positive braid closures on one component: first crossing from the
-    # basepoint is met on the overstrand or understrand per construction
-    d = closure([1, 1, 1])
-    x = d.first_non_descending_crossing()
-    assert x is not None
-    # descending after enough switches: the unknot diagram with one kink
-    k = closure([1], strands=2)
-    assert k.first_non_descending_crossing() is None or isinstance(x, int)
-
-
 def test_pd_round_trip():
     d = from_braid_closure(quasitoric_beta(2, 1))
     text = d.to_pd_text()

@@ -5,8 +5,8 @@ import pytest
 from skeinkit.braid import BraidWord
 from skeinkit.diagram import LinkDiagram, from_braid_closure
 from skeinkit.errors import SkeinKitError
-from skeinkit.jones import LaurentPoly1, jones_via_bracket, specialize_homfly_to_jones
-from skeinkit.laurent import DELTA, LaurentPoly2
+from skeinkit.jones import jones_via_bracket, specialize_homfly_to_jones
+from skeinkit.laurent import DELTA, LaurentPoly1, LaurentPoly2
 from skeinkit.satellite import blackboard_double, canonical_whitehead, quasitoric_closure
 from skeinkit.skein import SkeinEngine
 

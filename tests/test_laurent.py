@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skeinkit.errors import ZeroPolynomialError
-from skeinkit.laurent import DELTA, ONE, ZERO, LaurentPoly2, delta_power
+from skeinkit.laurent import DELTA, ONE, ZERO, LaurentPoly1, LaurentPoly2, delta_power
 
 V = LaurentPoly2.monomial(1, v=1)
 Z = LaurentPoly2.monomial(1, z=1)
@@ -14,6 +14,15 @@ def poly_strategy():
         st.integers(-9, 9),
     )
     return st.lists(term, max_size=6).map(LaurentPoly2)
+
+
+def poly1_strategy():
+    term = st.tuples(st.integers(-6, 6), st.integers(-9, 9))
+    return st.lists(term, max_size=6).map(LaurentPoly1)
+
+
+def triples(polys):
+    return st.tuples(polys, polys, polys)
 
 
 def test_add_identity_and_cancellation():
@@ -47,7 +56,7 @@ def test_delta_fifth_power_matches_binomial_expansion():
     d5 = delta_power(5)
     assert d5 == LaurentPoly2(expected)
     assert d5.max_z_degree() == -5
-    assert d5.v_support() == (-5, -3, -1, 1, 3, 5)
+    assert sorted({ev for ev, _ in d5.terms()}) == [-5, -3, -1, 1, 3, 5]
 
 
 def test_delta_power_base_cases():
@@ -100,16 +109,55 @@ def test_json_round_trip(p):
     assert LaurentPoly2.from_json_terms(p.to_json_terms()) == p
 
 
-@given(poly_strategy(), poly_strategy(), poly_strategy())
-@settings(max_examples=150, deadline=None)
-def test_ring_axioms(p, q, r):
+@given(st.one_of(triples(poly_strategy()), triples(poly1_strategy())))
+@settings(max_examples=300, deadline=None)
+def test_ring_axioms(pqr):
+    # both key shapes share one arithmetic core
+    p, q, r = pqr
     assert p + q == q + p
     assert (p + q) + r == p + (q + r)
     assert p * q == q * p
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
-    assert p + (-p) == ZERO
-    assert p * ONE == p
+    assert p - q == -(q - p)
+    assert p + (-p) == 0
+    assert p * 1 == p
+    assert p ** 2 == p * p
+
+
+@given(poly1_strategy(), poly1_strategy())
+@settings(max_examples=150, deadline=None)
+def test_exact_div_inverts_multiplication(p, q):
+    if not q.is_zero:
+        assert (p * q).exact_div(q) == p
+
+
+def test_mixed_key_shapes_refused_and_ints_coerced():
+    a = LaurentPoly1({1: 1})
+    for op in (
+        lambda: a + DELTA,
+        lambda: DELTA + a,
+        lambda: a - DELTA,
+        lambda: a * DELTA,
+        lambda: DELTA * a,
+        lambda: "x" - a,
+        lambda: "x" - DELTA,
+    ):
+        with pytest.raises(TypeError):
+            op()
+    assert a != DELTA
+    assert a + 1 == 1 + a == LaurentPoly1({1: 1, 0: 1})
+    assert 2 - a == LaurentPoly1({0: 2, 1: -1})
+    assert (a * 0).is_zero and not a * 0
+    assert DELTA + 1 == LaurentPoly2({(-1, -1): 1, (1, -1): -1, (0, 0): 1})
+
+
+def test_exponent_range_checked_for_both_key_shapes():
+    with pytest.raises(OverflowError):
+        LaurentPoly1({2**31: 1})
+    with pytest.raises(OverflowError):
+        LaurentPoly2({(0, -(2**31)): 1})
+    assert LaurentPoly1({2**31 - 1: 1, 0: 0}).terms() == {2**31 - 1: 1}
 
 
 @given(poly_strategy(), poly_strategy())

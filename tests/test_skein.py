@@ -133,14 +133,23 @@ def test_node_budget_aborts_cleanly():
     d = blackboard_double(closure([1, 1, 1]))
     with pytest.raises(BudgetExceededError) as info:
         tiny.homfly(d)
-    assert info.value.nodes is not None
+    err = info.value
+    assert err.nodes == 3
+    assert 0 <= err.elapsed < 60
+    assert f"after {err.nodes} nodes in {err.elapsed:.3f} s" in str(err)
+    assert err.args[0] == "skein node budget exhausted"
 
 
 def test_wall_budget_aborts_cleanly():
     slow = SkeinEngine(wall_seconds=0.0)
     d = blackboard_double(quasitoric_closure(2, 1))
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as info:
         slow.homfly(d)
+    err = info.value
+    assert err.nodes >= 1
+    assert err.elapsed > 0
+    assert f"after {err.nodes} nodes in {err.elapsed:.3f} s" in str(err)
+    assert err.args[0] == "skein wall-clock budget exhausted"
 
 
 def test_clasp_smoothing_identity(eng):
