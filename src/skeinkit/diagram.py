@@ -19,7 +19,10 @@ the text form is ``PD[X(a,b,c,d;s), ...]`` with a..d in the order
 (over-in, over-out, under-in, under-out) and s in {+1, -1}.  ``L(k)``
 tokens add k free loops.  Braid closures give sigma_i crossings sign +1.
 
-All values are immutable; skein moves return fresh diagrams.
+``LinkDiagram`` values are immutable; skein moves return fresh diagrams.
+Inside a move, the working form of ``splice`` (a crossing list with
+tombstones and arc -> port maps) merges arcs in place, so a chain of
+Reidemeister moves costs what the moves touch, not a rebuild per move.
 """
 
 from __future__ import annotations
@@ -31,16 +34,15 @@ from typing import NamedTuple
 
 from .braid import BraidWord
 from .errors import DiagramError
+from .splice import OVER, UNDER, WorkingDiagram
 
 __all__ = [
     "Crossing",
     "DiagramStats",
     "LinkDiagram",
     "from_braid_closure",
+    "smooth_and_simplify",
 ]
-
-OVER = 0
-UNDER = 1
 
 _SEPARATOR = 0xFFFF  # closes each component walk in canonical codes
 
@@ -73,7 +75,7 @@ class DiagramStats(NamedTuple):
 class LinkDiagram:
     """An oriented link diagram; immutable after construction."""
 
-    __slots__ = ("crossings", "free_loops", "_head", "_tail", "_code")
+    __slots__ = ("crossings", "free_loops", "_head", "_tail", "_comps", "_code")
 
     def __init__(self, crossings=(), free_loops: int = 0):
         crossings = tuple(
@@ -83,24 +85,23 @@ class LinkDiagram:
             raise DiagramError("free_loops must be nonnegative")
         head = {}
         tail = {}
-        for ci, c in enumerate(crossings):
-            if c.sign not in (1, -1):
-                raise DiagramError(f"crossing {ci} has sign {c.sign!r}")
-            for arc, role in ((c.over_in, OVER), (c.under_in, UNDER)):
-                if arc in head:
-                    raise DiagramError(f"arc {arc} has two heads")
-                head[arc] = (ci, role)
-            for arc, role in ((c.over_out, OVER), (c.under_out, UNDER)):
-                if arc in tail:
-                    raise DiagramError(f"arc {arc} has two tails")
-                tail[arc] = (ci, role)
-        if set(head) != set(tail):
-            bad = set(head).symmetric_difference(tail)
+        for ci, (over_in, over_out, under_in, under_out, sign) in enumerate(crossings):
+            if sign not in (1, -1):
+                _raise_first_fault(crossings)
+            head[over_in] = (ci, OVER)
+            head[under_in] = (ci, UNDER)
+            tail[over_out] = (ci, OVER)
+            tail[under_out] = (ci, UNDER)
+        if len(head) + len(tail) != 4 * len(crossings):
+            _raise_first_fault(crossings)
+        if head.keys() != tail.keys():
+            bad = head.keys() ^ tail.keys()
             raise DiagramError(f"arcs with a single endpoint: {sorted(bad)}")
         self.crossings = crossings
         self.free_loops = free_loops
         self._head = head
         self._tail = tail
+        self._comps = None
         self._code = None
 
     # -- elementary queries -------------------------------------------
@@ -137,41 +138,41 @@ class LinkDiagram:
         """(crossing index, role) of the port where the arc terminates."""
         return self._head[arc]
 
-    def next_arc_along_strand(self, arc: int) -> int:
-        ci, role = self._head[arc]
-        c = self.crossings[ci]
-        return c.over_out if role == OVER else c.under_out
-
-    def next_arc_seifert(self, arc: int) -> int:
-        ci, role = self._head[arc]
-        c = self.crossings[ci]
-        return c.under_out if role == OVER else c.over_out
-
-    def _orbits(self, successor) -> list:
+    def _orbits(self, over_slot: int, under_slot: int) -> tuple:
+        """Orbits of the step from an arc to the arc leaving its head
+        crossing by ``over_slot`` if it arrived over, else ``under_slot``:
+        (1, 3) follows the strands, (3, 1) the Seifert circles.  Each orbit
+        starts at its smallest arc, and they come in order of that arc."""
+        head = self._head
+        crossings = self.crossings
         seen = set()
         orbits = []
-        for a in sorted(self._head):
+        for a in sorted(head):
             if a not in seen:
                 orbit = []
                 x = a
                 while x not in seen:
                     seen.add(x)
                     orbit.append(x)
-                    x = successor(x)
-                orbits.append(orbit)
-        return orbits
+                    ci, role = head[x]
+                    x = crossings[ci][over_slot if role == OVER else under_slot]
+                orbits.append(tuple(orbit))
+        return tuple(orbits)
+
+    def _components(self) -> tuple:
+        if self._comps is None:
+            self._comps = self._orbits(1, 3)
+        return self._comps
 
     def components(self) -> list:
         """Arc components ordered by their minimal arc id (free loops excluded)."""
-        comps = self._orbits(self.next_arc_along_strand)
-        comps.sort(key=min)
-        return comps
+        return [list(comp) for comp in self._components()]
 
     def component_count(self) -> int:
-        return len(self.components()) + self.free_loops
+        return len(self._components()) + self.free_loops
 
     def seifert_circle_count(self) -> int:
-        return len(self._orbits(self.next_arc_seifert)) + self.free_loops
+        return len(self._orbits(3, 1)) + self.free_loops
 
     def stats(self) -> DiagramStats:
         c = len(self.crossings)
@@ -186,7 +187,7 @@ class LinkDiagram:
         Components are indexed by position in ``components()`` (sorted by
         minimal arc id).  Free loops never cross anything.
         """
-        comps = self.components()
+        comps = self._components()
         if i == j:
             raise DiagramError("self-linking is not defined")
         if not (0 <= i < len(comps) and 0 <= j < len(comps)):
@@ -216,9 +217,9 @@ class LinkDiagram:
         """Remove crossing x by the oriented smoothing, reconnecting arcs."""
         if not (0 <= x < len(self.crossings)):
             raise DiagramError(f"no crossing {x}")
-        c = self.crossings[x]
-        rest = [d for i, d in enumerate(self.crossings) if i != x]
-        return _rebuild(rest, self.free_loops, [(c.over_in, c.under_out), (c.under_in, c.over_out)])
+        w = WorkingDiagram(self.crossings, self._head, self._tail)
+        loops = w.smooth(x)
+        return LinkDiagram(w.crossings(), self.free_loops + loops)
 
     def mirror(self) -> "LinkDiagram":
         return LinkDiagram([c.switched() for c in self.crossings], self.free_loops)
@@ -231,55 +232,14 @@ class LinkDiagram:
         Returns (diagram, removed_loops).  The resulting diagram has no
         free loops and no kinks or bigons reachable by the detectors; the
         link polynomial satisfies P(self) = delta^removed * P(diagram).
+        Each move is the first R1 kink by crossing position, otherwise the
+        first R2 bigon; the move order fixes the arc labels of the result.
         """
-        d = self
-        removed = 0
-        while True:
-            if d.free_loops:
-                removed += d.free_loops
-                d = LinkDiagram(d.crossings, 0)
-            move = d._find_r1() or d._find_r2()
-            if move is None:
-                return d, removed
-            d = move()
-
-    def _find_r1(self):
-        for ci, c in enumerate(self.crossings):
-            if c.over_out == c.under_in:
-                return lambda ci=ci, c=c: self._apply_r1(ci, c.over_in, c.under_out)
-            if c.under_out == c.over_in:
-                return lambda ci=ci, c=c: self._apply_r1(ci, c.under_in, c.over_out)
-        return None
-
-    def _apply_r1(self, ci: int, arc_in: int, arc_out: int) -> "LinkDiagram":
-        rest = [d for i, d in enumerate(self.crossings) if i != ci]
-        return _rebuild(rest, self.free_loops, [(arc_in, arc_out)])
-
-    def _find_r2(self):
-        head = self._head
-        for ci, c in enumerate(self.crossings):
-            hit = head.get(c.over_out)
-            if hit is None:
-                continue
-            dj, role = hit
-            if dj == ci or role != OVER:
-                continue
-            d = self.crossings[dj]
-            if c.under_out == d.under_in:
-                # coherent bigon: both strands travel ci -> dj
-                return lambda ci=ci, dj=dj, c=c, d=d: self._apply_r2(
-                    ci, dj, [(c.over_in, d.over_out), (c.under_in, d.under_out)]
-                )
-            if d.under_out == c.under_in:
-                # incoherent bigon: under strand travels dj -> ci
-                return lambda ci=ci, dj=dj, c=c, d=d: self._apply_r2(
-                    ci, dj, [(c.over_in, d.over_out), (d.under_in, c.under_out)]
-                )
-        return None
-
-    def _apply_r2(self, ci: int, dj: int, splices: list) -> "LinkDiagram":
-        rest = [d for i, d in enumerate(self.crossings) if i not in (ci, dj)]
-        return _rebuild(rest, self.free_loops, splices)
+        w = WorkingDiagram(self.crossings, self._head, self._tail)
+        removed = self.free_loops + w.reduce()
+        if not (w.deleted or removed):
+            return self, 0
+        return LinkDiagram(w.crossings()), removed
 
     # -- split decomposition ---------------------------------------------
 
@@ -289,9 +249,25 @@ class LinkDiagram:
         Two sub-diagrams with no arcs in common are split as links, so the
         polynomial factorizes across the returned pieces.
         """
-        n = len(self.crossings)
+        crossings = self.crossings
+        n = len(crossings)
         if n == 0:
             return []
+        # Every crossing has two arcs in and two out, so the diagram is
+        # connected exactly when one crossing reaches all others forward.
+        head = self._head
+        reached = {0}
+        todo = [0]
+        for ci in todo:
+            c = crossings[ci]
+            for arc in (c.over_out, c.under_out):
+                cj = head[arc][0]
+                if cj not in reached:
+                    reached.add(cj)
+                    todo.append(cj)
+        if len(todo) == n:
+            return [LinkDiagram(crossings)] if self.free_loops else [self]
+        # The piece order (by union-find root) is the skein engine's child order.
         parent = list(range(n))
 
         def find(i):
@@ -301,7 +277,7 @@ class LinkDiagram:
             return i
 
         owner = {}
-        for ci, c in enumerate(self.crossings):
+        for ci, c in enumerate(crossings):
             for arc in c[:4]:
                 if arc in owner:
                     ra, rb = find(owner[arc]), find(ci)
@@ -313,7 +289,7 @@ class LinkDiagram:
         for ci in range(n):
             groups.setdefault(find(ci), []).append(ci)
         return [
-            LinkDiagram([self.crossings[i] for i in members])
+            LinkDiagram([crossings[i] for i in members])
             for _, members in sorted(groups.items())
         ]
 
@@ -330,7 +306,7 @@ class LinkDiagram:
         crossings = self.crossings
         visited = set()
         bad = []
-        for comp in self.components():
+        for comp in self._components():
             start = comp[0]
             arc = start
             while True:
@@ -355,10 +331,15 @@ class LinkDiagram:
         by first visit, each step emitting (label, role, sign).  Equal
         diagrams up to arc/crossing relabeling yield equal codes; no
         randomized hashing is involved.
+
+        The search is bounded without changing its result: a walk stops
+        as soon as it is greater than the lowest walk found so far at its
+        level, or, while the prefix runs level with the best complete
+        stream, greater than that stream.
         """
         if self._code is not None:
             return self._code
-        comps = [tuple(c) for c in self.components()]
+        comps = self._components()
         if not comps:
             code = struct.pack(">III", self.free_loops, 0, 0)
             self._code = code
@@ -366,48 +347,89 @@ class LinkDiagram:
         if len(self.crossings) >= 16000:
             raise DiagramError("diagram too large to encode")
 
-        head = self._head
         crossings = self.crossings
+        step = {}  # arc -> (crossing, role and sign bits, next arc)
+        for arc, (ci, role) in self._head.items():
+            c = crossings[ci]
+            step[arc] = (
+                ci,
+                (role << 1) | (1 if c.sign > 0 else 0),
+                c.over_out if role == OVER else c.under_out,
+            )
+        labels = [-1] * len(crossings)
 
-        def walk(start, labels, nxt):
-            # labels is mutated; caller passes a scratch copy
+        def walk(start, nxt, bound):
+            # The walk's tokens and newly labeled crossings, or None once it
+            # exceeds ``bound``.  Leaves ``labels`` as it found them.
             tokens = []
+            new = []
+            tight = bound is not None
+            found = None
             arc = start
             while True:
-                ci, role = head[arc]
-                label = labels.get(ci)
-                if label is None:
-                    label = labels[ci] = nxt
-                    nxt += 1
-                c = crossings[ci]
-                tokens.append((label << 2) | (role << 1) | (1 if c.sign > 0 else 0))
-                arc = c.over_out if role == OVER else c.under_out
+                ci, bits, arc = step[arc]
+                label = labels[ci]
+                if label < 0:
+                    label = labels[ci] = nxt + len(new)
+                    new.append(ci)
+                token = (label << 2) | bits
+                if tight and token != bound[len(tokens)]:
+                    if token > bound[len(tokens)]:
+                        break
+                    tight = False
+                tokens.append(token)
                 if arc == start:
-                    tokens.append(_SEPARATOR)
-                    return tuple(tokens), nxt
+                    if not tight or bound[len(tokens)] == _SEPARATOR:
+                        tokens.append(_SEPARATOR)
+                        found = (tuple(tokens), new)
+                    break
+            for ci in new:
+                labels[ci] = -1
+            return found
 
-        best = [None]
+        best = None
 
-        def search(remaining, labels, nxt, prefix):
-            if best[0] is not None and prefix > best[0][: len(prefix)]:
-                return
+        def search(remaining, nxt, prefix):
+            nonlocal best
+            bound = None
+            if best is not None:
+                level = best[: len(prefix)]
+                if prefix > level:
+                    return
+                if prefix == level:
+                    bound = best[len(prefix) :]
             if not remaining:
-                if best[0] is None or prefix < best[0]:
-                    best[0] = prefix
+                if best is None or prefix < best:
+                    best = prefix
                 return
-            candidates = []
+            lowest = None
+            ties = []
             for k, comp in enumerate(remaining):
                 for start in comp:
-                    lab2 = dict(labels)
-                    tokens, n2 = walk(start, lab2, nxt)
-                    candidates.append((tokens, k, lab2, n2))
-            lowest = min(c[0] for c in candidates)
-            for tokens, k, lab2, n2 in candidates:
-                if tokens == lowest:
-                    search(remaining[:k] + remaining[k + 1 :], lab2, n2, prefix + tokens)
+                    limit = bound if lowest is None else lowest
+                    if limit is not None:
+                        # most walks lose on their first token: test it inline
+                        ci, bits, _ = step[start]
+                        label = labels[ci]
+                        if (((nxt if label < 0 else label) << 2) | bits) > limit[0]:
+                            continue
+                    found = walk(start, nxt, limit)
+                    if found is None:
+                        continue
+                    tokens, new = found
+                    if tokens != lowest:
+                        lowest = tokens
+                        ties = []
+                    ties.append((k, new))
+            for k, new in ties:
+                for i, ci in enumerate(new):
+                    labels[ci] = nxt + i
+                search(remaining[:k] + remaining[k + 1 :], nxt + len(new), prefix + lowest)
+                for ci in new:
+                    labels[ci] = -1
 
-        search(comps, {}, 0, ())
-        tokens = best[0]
+        search(comps, 0, ())
+        tokens = best
         code = struct.pack(
             ">III", self.free_loops, len(self.crossings), len(tokens)
         ) + struct.pack(f">{len(tokens)}H", *tokens)
@@ -446,32 +468,35 @@ class LinkDiagram:
         return LinkDiagram(crossings, loops)
 
 
-def _rebuild(crossings: list, free_loops: int, merges: list) -> LinkDiagram:
-    """Relabel arcs through the given merges; closed-off classes become loops."""
-    parent = {}
+def _raise_first_fault(crossings) -> None:
+    """Raise for the first bad sign, or arc at two heads or two tails."""
+    ends, starts = set(), set()
+    for ci, c in enumerate(crossings):
+        if c.sign not in (1, -1):
+            raise DiagramError(f"crossing {ci} has sign {c.sign!r}")
+        for arc in (c.over_in, c.under_in):
+            if arc in ends:
+                raise DiagramError(f"arc {arc} has two heads")
+            ends.add(arc)
+        for arc in (c.over_out, c.under_out):
+            if arc in starts:
+                raise DiagramError(f"arc {arc} has two tails")
+            starts.add(arc)
 
-    def find(a):
-        parent.setdefault(a, a)
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
 
-    for a, b in merges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            parent[rb] = ra
-    new_crossings = [
-        Crossing(find(c.over_in), find(c.over_out), find(c.under_in), find(c.under_out), c.sign)
-        for c in crossings
-    ]
-    present = set()
-    for c in new_crossings:
-        present.update((c.over_in, c.over_out, c.under_in, c.under_out))
-    vanished = {find(a) for pair in merges for a in pair} - present
-    return LinkDiagram(new_crossings, free_loops + len(vanished))
+def smooth_and_simplify(crossings, x: int) -> tuple:
+    """``LinkDiagram(crossings).smooth_crossing(x).simplify()`` in one pass.
+
+    ``crossings`` are those of a valid diagram without free loops, or such
+    a list with some crossings switched (switching keeps every arc's head
+    and tail).  The smoothing and every Reidemeister move after it splice
+    one working form; only the simplified result is built (and validated)
+    as a ``LinkDiagram``.  Returns (diagram, removed_loops).
+    """
+    w = WorkingDiagram(crossings)
+    removed = w.smooth(x)
+    removed += w.reduce()
+    return LinkDiagram(w.crossings()), removed
 
 
 def from_braid_closure(b: BraidWord) -> LinkDiagram:
@@ -497,5 +522,13 @@ def from_braid_closure(b: BraidWord) -> LinkDiagram:
         current[p], current[p + 1] = new_left, new_right
         touched[p] = touched[p + 1] = True
     loops = sum(1 for p in range(n) if not touched[p])
-    merges = [(p, current[p]) for p in range(n) if touched[p]]
-    return _rebuild(crossings, loops, merges)
+    # close each touched strand: its top arc takes the id of its bottom arc
+    top = {current[p]: p for p in range(n) if touched[p]}
+    crossings = [
+        c._replace(
+            over_out=top.get(c.over_out, c.over_out),
+            under_out=top.get(c.under_out, c.under_out),
+        )
+        for c in crossings
+    ]
+    return LinkDiagram(crossings, loops)

@@ -93,8 +93,13 @@ class _SparseLaurent:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # A constant equals its int, so it must hash as that int.
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            terms = self._terms
+            if terms.keys() <= {self._CONST}:
+                self._hash = hash(terms.get(self._CONST, 0))
+            else:
+                self._hash = hash(frozenset(terms.items()))
         return self._hash
 
     def __repr__(self) -> str:

@@ -14,7 +14,10 @@ current sign (earlier bad crossings already switched):
 Switching never changes the traversal, so the whole switch chain of one
 diagram unrolls in a single node: with all bad crossings switched the diagram
 is descending, hence an unlink worth delta^(mu-1), and the remaining children
-are the smoothed diagrams, each one crossing smaller.  Recursion therefore
+are the smoothed diagrams, each one crossing smaller.  The chain runs on a
+plain crossing list (no diagram is built for a switched intermediate); each
+smoothing goes straight into ``smooth_and_simplify``, which smooths and
+simplifies in one working form and builds only the simplified result.  Recursion therefore
 descends strictly in crossing count, which makes the memo DAG acyclic and
 termination unconditional.  Results are memoized on the canonical code of
 each simplified piece, and the memo can persist to a disk cache between runs
@@ -35,7 +38,7 @@ from __future__ import annotations
 import os
 import time
 
-from .diagram import LinkDiagram
+from .diagram import LinkDiagram, smooth_and_simplify
 from .errors import BudgetExceededError, CacheCorruptionError, DiagramError
 from .laurent import LaurentPoly2, delta_power
 
@@ -112,7 +115,7 @@ class SkeinEngine:
         if d.is_empty():
             raise DiagramError("the empty diagram has no HOMFLYPT polynomial")
         t0 = time.monotonic()
-        exponent, pieces = _decompose(d)
+        exponent, pieces = _decompose(*d.simplify())
         for code, piece in pieces:
             self._resolve(piece, code, t0)
         result = delta_power(exponent)
@@ -157,19 +160,21 @@ class SkeinEngine:
                     self._memo_write(code, delta_power(piece.component_count() - 1))
                     stack.pop()
                     continue
-                # Unroll the switch chain: each bad crossing contributes its
-                # smoothed diagram, and the fully switched end is an unlink.
+                # Unroll the switch chain on the crossing list: each bad
+                # crossing contributes its smoothed diagram, and the fully
+                # switched end is an unlink.
                 prefix = _ONE
                 terms = []
-                cur = piece
+                cs = list(piece.crossings)
                 for x in bad:
-                    if cur.crossings[x].sign > 0:
-                        terms.append((prefix * _POS_SMOOTH, _decompose(cur.smooth_crossing(x))))
+                    smoothed = _decompose(*smooth_and_simplify(cs, x))
+                    if cs[x].sign > 0:
+                        terms.append((prefix * _POS_SMOOTH, smoothed))
                         prefix = prefix * _POS_SWITCH
                     else:
-                        terms.append((prefix * _NEG_SMOOTH, _decompose(cur.smooth_crossing(x))))
+                        terms.append((prefix * _NEG_SMOOTH, smoothed))
                         prefix = prefix * _NEG_SWITCH
-                    cur = cur.switch_crossing(x)
+                    cs[x] = cs[x].switched()
                 tail = prefix * delta_power(piece.component_count() - 1)
                 nodes[code] = (tail, terms)
                 for _, (_, children) in terms:
@@ -200,9 +205,9 @@ class SkeinEngine:
                 stack.pop()
 
 
-def _decompose(d: LinkDiagram):
-    """Simplify and split: P(d) = delta^exponent * product of piece values."""
-    core, removed = d.simplify()
+def _decompose(core: LinkDiagram, removed: int):
+    """Split a simplified diagram that shed ``removed`` loops:
+    P = delta^exponent * product of piece values."""
     pieces = core.split_pieces()
     if pieces:
         exponent = removed + len(pieces) - 1

@@ -97,6 +97,17 @@ def _compute(cfg: SuiteConfig, report: InvariantReport, d: LinkDiagram, label="c
         return None
 
 
+def _compute_all(cfg: SuiteConfig, report: InvariantReport, diagrams: list, label: str):
+    """The value of every diagram, or None after the first budget SKIP."""
+    values = []
+    for d in diagrams:
+        p = _compute(cfg, report, d, label)
+        if p is None:
+            return None
+        values.append(p)
+    return values
+
+
 def _record(report: InvariantReport, d: LinkDiagram, p: LaurentPoly2) -> None:
     """Put the value, its z-degree and the diagram's Morton bound on the report."""
     report.polynomial = p
@@ -324,11 +335,24 @@ def suite_props(cfg: SuiteConfig) -> list:
     return reports
 
 
+def _exhaustive_words():
+    """Every braid word of length <= 6 on 1 to 3 strands."""
+    for n in (1, 2, 3):
+        gens = [g for k in range(1, n) for g in (k, -k)]
+        for length in range(0, 7):
+            if not gens and length > 0:
+                continue
+            for letters in itertools.product(gens, repeat=length):
+                yield BraidWord(n, letters)
+
+
 def suite_structural(cfg: SuiteConfig) -> list:
+    """Each report records a SKIP under its check's name, and no check, as
+    soon as one evaluation exhausts the budget."""
     reports = []
-    eng = cfg.engine
 
     t0 = time.monotonic()
+    label = "mirror-identity-failures"
     rep = InvariantReport("mirror-identity(100 random braids)", "skein")
     reports.append(rep)
     rng = random.Random(20260810)
@@ -337,33 +361,36 @@ def suite_structural(cfg: SuiteConfig) -> list:
         n = rng.randint(2, 4)
         letters = [rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(rng.randint(1, 10))]
         d = from_braid_closure(BraidWord(n, letters))
-        p = eng.homfly(d)
-        pm = eng.homfly(d.mirror())
+        values = _compute_all(cfg, rep, [d, d.mirror()], label)
+        if values is None:
+            break
+        p, pm = values
         if pm != p.mirror_image():
             failures += 1
         if d.component_count() % 2 == 1 and pm != p.substitute_v_inverse():
             failures += 1
-    rep.check("mirror-identity-failures", 0, failures)
+    else:
+        rep.check(label, 0, failures)
     _timed(rep, t0)
 
     t0 = time.monotonic()
+    label = "engine-agreement-mismatches"
     rep = InvariantReport("engine-agreement(exhaustive, length<=6, strands<=3)", "skein+hecke")
     reports.append(rep)
     total = mismatches = 0
-    for n in (1, 2, 3):
-        gens = [g for k in range(1, n) for g in (k, -k)]
-        for length in range(0, 7):
-            if not gens and length > 0:
-                continue
-            for letters in itertools.product(gens, repeat=length):
-                b = BraidWord(n, letters)
-                total += 1
-                if homfly_closed_braid(b) != eng.homfly(from_braid_closure(b)):
-                    mismatches += 1
-    rep.check("engine-agreement-mismatches", 0, mismatches, f"{total} words compared")
+    for b in _exhaustive_words():
+        p = _compute(cfg, rep, from_braid_closure(b), label)
+        if p is None:
+            break
+        total += 1
+        if homfly_closed_braid(b) != p:
+            mismatches += 1
+    else:
+        rep.check(label, 0, mismatches, f"{total} words compared")
     _timed(rep, t0)
 
     t0 = time.monotonic()
+    label = "markov-invariance-failures"
     rep = InvariantReport("markov-invariance(50 random samples)", "skein")
     reports.append(rep)
     rng = random.Random(1729)
@@ -372,14 +399,18 @@ def suite_structural(cfg: SuiteConfig) -> list:
         n = rng.randint(2, 4)
         letters = [rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(rng.randint(1, 8))]
         b = BraidWord(n, letters)
-        p = eng.homfly(from_braid_closure(b))
         moved = [
             b.conjugate_by(rng.choice([1, -1]) * rng.randint(1, n - 1)),
             b.stabilize(True),
             b.stabilize(False),
         ]
-        failures += sum(1 for bm in moved if eng.homfly(from_braid_closure(bm)) != p)
-    rep.check("markov-invariance-failures", 0, failures)
+        values = _compute_all(cfg, rep, [from_braid_closure(w) for w in [b] + moved], label)
+        if values is None:
+            break
+        p, *others = values
+        failures += sum(1 for pm in others if pm != p)
+    else:
+        rep.check(label, 0, failures)
     _timed(rep, t0)
 
     return reports

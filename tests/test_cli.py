@@ -106,6 +106,18 @@ def test_verify_budget_skip_and_strict(capsys):
     assert code == 1
 
 
+def test_verify_structural_budget_skips(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--suite", "structural", "--nodes", "5", "--out", "json"
+    )
+    assert code == 0
+    reports = json.loads(out)
+    assert len(reports) == 3
+    for rep in reports:
+        assert [c["status"] for c in rep["checks"]] == ["SKIP"]
+        assert rep["checks"][0]["note"] == "budget exhausted: skein node budget exhausted"
+
+
 def test_aborted_computation_reports_no_polynomial(capsys):
     code, out, _ = run(
         capsys, "verify", "--suite", "borromean", "--nodes", "1", "--out", "json"

@@ -1,10 +1,13 @@
+import struct
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skeinkit.braid import BraidWord, quasitoric_beta
-from skeinkit.diagram import Crossing, LinkDiagram, from_braid_closure
+from skeinkit.diagram import OVER, Crossing, LinkDiagram, from_braid_closure, smooth_and_simplify
 from skeinkit.errors import DiagramError
+from skeinkit.satellite import blackboard_double
 
 
 def closure(letters, strands=None):
@@ -198,3 +201,231 @@ def test_split_pieces():
     pieces = both.split_pieces()
     assert len(pieces) == 2
     assert sorted(p.crossing_count() for p in pieces) == [2, 3]
+
+
+# -- reference oracles ------------------------------------------------------
+#
+# The sequential implementations that the in-place working form replaced:
+# every R1/R2 move and every smoothing rebuilds the whole diagram through a
+# union-find over the merged arcs, and the canonical code walks every start
+# to its end.  The fast core must agree with them exactly, because the arc
+# labels it leaves fix the skein basepoints, and so the memo DAG.
+
+
+def oracle_rebuild(crossings, merges):
+    parent = {}
+
+    def find(a):
+        parent.setdefault(a, a)
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for a, b in merges:
+        ra, rb = sorted((find(a), find(b)))
+        if ra != rb:
+            parent[rb] = ra
+    new = [Crossing(*(find(a) for a in c[:4]), c.sign) for c in crossings]
+    present = {a for c in new for a in c[:4]}
+    vanished = {find(a) for pair in merges for a in pair} - present
+    return LinkDiagram(new, len(vanished))
+
+
+def oracle_smooth(d, x):
+    c = d.crossings[x]
+    rest = [e for i, e in enumerate(d.crossings) if i != x]
+    smoothed = oracle_rebuild(rest, [(c.over_in, c.under_out), (c.under_in, c.over_out)])
+    return LinkDiagram(smoothed.crossings, d.free_loops + smoothed.free_loops)
+
+
+def oracle_move(d):
+    """The first R1 kink by position, else the first R2 bigon, as (dead, merges)."""
+    for ci, c in enumerate(d.crossings):
+        if c.over_out == c.under_in:
+            return {ci}, [(c.over_in, c.under_out)]
+        if c.under_out == c.over_in:
+            return {ci}, [(c.under_in, c.over_out)]
+    for ci, c in enumerate(d.crossings):
+        dj, role = d.arc_head(c.over_out)
+        if dj == ci or role != OVER:
+            continue
+        e = d.crossings[dj]
+        if c.under_out == e.under_in:
+            return {ci, dj}, [(c.over_in, e.over_out), (c.under_in, e.under_out)]
+        if e.under_out == c.under_in:
+            return {ci, dj}, [(c.over_in, e.over_out), (e.under_in, c.under_out)]
+    return None
+
+
+def oracle_simplify(d):
+    removed = 0
+    while True:
+        removed += d.free_loops
+        d = LinkDiagram(d.crossings, 0)
+        move = oracle_move(d)
+        if move is None:
+            return d, removed
+        dead, merges = move
+        d = oracle_rebuild([c for i, c in enumerate(d.crossings) if i not in dead], merges)
+
+
+def oracle_code(d):
+    """The unpruned search: every walk runs to its end."""
+    comps = [tuple(c) for c in d.components()]
+    if not comps:
+        return struct.pack(">III", d.free_loops, 0, 0)
+
+    def walk(start, labels, nxt):
+        tokens = []
+        arc = start
+        while True:
+            ci, role = d.arc_head(arc)
+            if ci not in labels:
+                labels[ci] = nxt
+                nxt += 1
+            c = d.crossings[ci]
+            tokens.append((labels[ci] << 2) | (role << 1) | (1 if c.sign > 0 else 0))
+            arc = c.over_out if role == OVER else c.under_out
+            if arc == start:
+                return tuple(tokens) + (0xFFFF,), nxt
+
+    best = []
+
+    def search(remaining, labels, nxt, prefix):
+        if best and prefix > best[0][: len(prefix)]:
+            return
+        if not remaining:
+            if not best or prefix < best[0]:
+                best[:] = [prefix]
+            return
+        candidates = []
+        for k, comp in enumerate(remaining):
+            for start in comp:
+                lab = dict(labels)
+                tokens, n2 = walk(start, lab, nxt)
+                candidates.append((tokens, k, lab, n2))
+        lowest = min(c[0] for c in candidates)
+        for tokens, k, lab, n2 in candidates:
+            if tokens == lowest:
+                search(remaining[:k] + remaining[k + 1 :], lab, n2, prefix + tokens)
+
+    search(comps, {}, 0, ())
+    tokens = best[0]
+    return struct.pack(">III", d.free_loops, len(d.crossings), len(tokens)) + struct.pack(
+        f">{len(tokens)}H", *tokens
+    )
+
+
+# -- strategies ------------------------------------------------------------------
+
+
+@st.composite
+def closures(draw, max_strands=5, max_letters=12):
+    n = draw(st.integers(2, max_strands))
+    letter = st.integers(1, n - 1).flatmap(lambda k: st.sampled_from([k, -k]))
+    return from_braid_closure(BraidWord(n, draw(st.lists(letter, max_size=max_letters))))
+
+
+def shifted(d, offset):
+    return [Crossing(*(a + offset for a in c[:4]), c.sign) for c in d.crossings]
+
+
+@st.composite
+def split_unions(draw):
+    """Several closures side by side, their crossings interleaved at random."""
+    parts = draw(st.lists(st.one_of(closures(max_letters=8), doubles()), min_size=2, max_size=3))
+    crossings = [c for i, d in enumerate(parts) for c in shifted(d, 1000 * i)]
+    crossings = draw(st.permutations(crossings))
+    return LinkDiagram(crossings, sum(d.free_loops for d in parts))
+
+
+def doubles():
+    """Doubles of small closures: connected pieces with two or more components."""
+    return closures(max_strands=3, max_letters=4).map(blackboard_double)
+
+
+diagrams = st.one_of(closures(), doubles(), split_unions())
+
+
+def switched(d, flips):
+    cs = list(d.crossings)
+    for x in flips:
+        cs[x] = cs[x].switched()
+    return cs
+
+
+# -- the working form against the oracles -------------------------------------
+
+
+@given(diagrams)
+@settings(max_examples=200, deadline=None)
+def test_simplify_matches_sequential_oracle(d):
+    core, removed = d.simplify()
+    want, want_removed = oracle_simplify(d)
+    assert core.crossings == want.crossings
+    assert core.free_loops == want.free_loops == 0
+    assert removed == want_removed
+
+
+@given(diagrams, st.data())
+@settings(max_examples=200, deadline=None)
+def test_smoothing_matches_sequential_oracle(d, data):
+    if not d.crossings:
+        return
+    # smooth part-way along a switch chain, as the skein engine does
+    n = len(d.crossings)
+    flips = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    cs = switched(d, flips)
+    x = data.draw(st.integers(0, n - 1))
+    smoothed = LinkDiagram(cs).smooth_crossing(x)
+    want = oracle_smooth(LinkDiagram(cs), x)
+    assert (smoothed.crossings, smoothed.free_loops) == (want.crossings, want.free_loops)
+    core, removed = smooth_and_simplify(cs, x)
+    want_core, want_removed = oracle_simplify(want)
+    assert (core.crossings, core.free_loops, removed) == (want_core.crossings, 0, want_removed)
+
+
+@given(diagrams, st.data())
+@settings(max_examples=200, deadline=None)
+def test_canonical_code_matches_unpruned_oracle(d, data):
+    n = len(d.crossings)
+    flips = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)) if n else []
+    d = LinkDiagram(switched(d, flips), d.free_loops)
+    core, _ = d.simplify()
+    for piece in [d, core] + core.split_pieces():
+        assert piece.canonical_code() == oracle_code(piece)
+
+
+@given(diagrams, st.data())
+@settings(max_examples=200, deadline=None)
+def test_canonical_code_invariant_under_relabeling(d, data):
+    arcs = d.arcs()
+    targets = data.draw(
+        st.lists(st.integers(-10**6, 10**6), min_size=len(arcs), max_size=len(arcs), unique=True)
+    )
+    relabel = dict(zip(arcs, targets))
+    order = data.draw(st.permutations(range(len(d.crossings))))
+    moved = LinkDiagram(
+        [Crossing(*(relabel[a] for a in d.crossings[i][:4]), d.crossings[i].sign) for i in order],
+        d.free_loops,
+    )
+    assert moved.canonical_code() == d.canonical_code()
+
+
+def test_multi_component_codes_match_oracle():
+    # connected pieces with several components, where the search recurses
+    # over component orders and the best stream bounds the later walks
+    samples = [
+        blackboard_double(closure([1, 1])),
+        blackboard_double(closure([1, 1, 1])),
+        blackboard_double(closure([1, -2, 1, -2])),
+        blackboard_double(from_braid_closure(quasitoric_beta(2, 1))),
+        closure([1, 2, 1, 2, 1, 2]),
+    ]
+    for d in samples:
+        assert d.component_count() >= 2
+        for x in range(0, d.crossing_count(), 3):
+            core, _ = smooth_and_simplify(list(d.crossings), x)
+            for piece in core.split_pieces():
+                assert piece.canonical_code() == oracle_code(piece)
+        assert d.canonical_code() == oracle_code(d)

@@ -191,3 +191,16 @@ def test_power_and_scalars():
     assert V - V == ZERO
     with pytest.raises(ValueError):
         V ** -1
+
+
+def test_constants_hash_as_their_ints():
+    # a constant polynomial equals its int, so dict and set lookups must
+    # find one through the other, for both key shapes
+    for make in (LaurentPoly1.monomial, LaurentPoly2.monomial):
+        for k in (0, 1, -3, 12):
+            p = make(k)
+            assert p == k and hash(p) == hash(k)
+            assert {k: "int"}.get(p) == "int"
+            assert {p: "poly"}.get(k) == "poly"
+    assert {1: "one"}.get(ONE) == "one" and {0: "zero"}.get(ZERO) == "zero"
+    assert len({ONE, 1, LaurentPoly2.monomial(1, v=2)}) == 2

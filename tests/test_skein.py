@@ -191,3 +191,27 @@ def test_cache_round_trip(tmp_path):
     p2 = e2.homfly(d)
     assert p2 == p1
     assert e2.counters()["nodes"] == 0
+
+
+def test_memo_dag_of_doubled_borromean_rings_is_pinned():
+    # A cold engine expands one node per distinct simplified piece, so the
+    # node count pins the memo DAG: the simplifier's move order and arc
+    # labels (hence the skein basepoints) and the canonical code fix it.
+    for top_sign, nodes in ((1, 721), (-1, 696)):
+        e = SkeinEngine()
+        e.homfly(blackboard_double(quasitoric_closure(2, top_sign)))
+        assert e.counters()["nodes"] == nodes
+
+
+# The canonical code of the doubled right trefoil (two components).  Cache
+# files are keyed by these bytes: a format change must fail here first.
+DOUBLED_TREFOIL_CODE = (
+    "000000000000000c0000001a00000005000b000e001000150007001a001c000900170022ffff"
+    "000200200025002b001e0018002d00270012000c0029002fffff"
+)
+
+
+def test_canonical_code_format_is_pinned():
+    d = blackboard_double(closure([1, 1, 1]))
+    assert d.component_count() == 2
+    assert d.canonical_code().hex() == DOUBLED_TREFOIL_CODE
