@@ -20,9 +20,10 @@ the text form is ``PD[X(a,b,c,d;s), ...]`` with a..d in the order
 tokens add k free loops.  Braid closures give sigma_i crossings sign +1.
 
 ``LinkDiagram`` values are immutable; skein moves return fresh diagrams.
-Inside a move, the working form of ``splice`` (a crossing list with
-tombstones and arc -> port maps) merges arcs in place, so a chain of
-Reidemeister moves costs what the moves touch, not a rebuild per move.
+Inside a move, the private working form ``_WorkingDiagram`` (a crossing
+list with tombstones and arc -> port maps) merges arcs in place, so a
+chain of Reidemeister moves costs what the moves touch, not a rebuild per
+move.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from typing import NamedTuple
 
 from .braid import BraidWord
 from .errors import DiagramError
-from .splice import OVER, UNDER, WorkingDiagram
 
 __all__ = [
     "Crossing",
@@ -44,6 +44,8 @@ __all__ = [
     "smooth_and_simplify",
 ]
 
+OVER = 0
+UNDER = 1
 _SEPARATOR = 0xFFFF  # closes each component walk in canonical codes
 
 _PD_X_RE = re.compile(
@@ -61,6 +63,165 @@ class Crossing(NamedTuple):
 
     def switched(self) -> "Crossing":
         return Crossing(self.under_in, self.under_out, self.over_in, self.over_out, -self.sign)
+
+
+class _WorkingDiagram:
+    """A crossing list that moves in place.
+
+    The working form behind ``simplify``, ``smooth_crossing`` and the skein
+    engine's smoothings.  Deleted crossings leave ``None`` behind, so every
+    live crossing keeps its position.  ``head`` and ``tail`` map each arc
+    to the (crossing, role) port where it ends and where it starts.  The
+    one move is ``splice``, which relabels only the crossings that carry a
+    merged arc; ``smooth`` and ``reduce`` are made of it.  Three rules keep
+    the results equal to a rebuild per move, and so keep the arc labels
+    that fix the skein basepoints:
+
+    * each move is the first R1 kink by crossing position, otherwise the
+      first R2 bigon;
+    * a merged arc class takes its smallest arc id;
+    * loops are counted per move: a class left with no port closes a loop
+      only in the move that merged it.
+    """
+
+    __slots__ = ("cs", "head", "tail", "deleted")
+
+    def __init__(self, crossings):
+        self.cs = list(crossings)
+        head = self.head = {}
+        tail = self.tail = {}
+        for ci, c in enumerate(self.cs):
+            head[c.over_in] = (ci, OVER)
+            head[c.under_in] = (ci, UNDER)
+            tail[c.over_out] = (ci, OVER)
+            tail[c.under_out] = (ci, UNDER)
+        self.deleted = 0
+
+    def splice(self, dead, pairs) -> tuple:
+        """Delete the crossings ``dead`` and merge the arcs of each pair.
+
+        The pairs must name every arc that loses a port and keeps the
+        other; arcs with both ports on ``dead`` just disappear.  Each
+        merged class takes its smallest arc id, and only the crossings
+        that carry one of its arcs are relabeled.  A class left with no
+        port closes into a loop.  Returns (loops, touched crossings).
+        """
+        cs, head, tail = self.cs, self.head, self.tail
+        for ci in dead:
+            over_in, over_out, under_in, under_out, _ = cs[ci]
+            cs[ci] = None
+            del head[over_in], head[under_in], tail[over_out], tail[under_out]
+        self.deleted += len(dead)
+        classes = []  # disjoint arc sets, one per merged class (moves pass <= 2 pairs)
+        for pair in pairs:
+            members = set(pair)
+            apart = []
+            for other in classes:
+                if members.isdisjoint(other):
+                    apart.append(other)
+                else:
+                    members |= other
+            apart.append(members)
+            classes = apart
+        loops = 0
+        touched = []
+        for members in classes:
+            root = min(members)
+            ends = [head.pop(a) for a in members if a in head]
+            starts = [tail.pop(a) for a in members if a in tail]
+            if not ends and not starts:
+                loops += 1
+                continue
+            if len(ends) != 1 or len(starts) != 1:
+                raise DiagramError(f"arc {root} has {len(ends)} heads and {len(starts)} tails")
+            ci, role = head[root] = ends[0]
+            over_in, over_out, under_in, under_out, sign = cs[ci]
+            if role == OVER and over_in != root:
+                cs[ci] = Crossing(root, over_out, under_in, under_out, sign)
+            elif role == UNDER and under_in != root:
+                cs[ci] = Crossing(over_in, over_out, root, under_out, sign)
+            cj, role = tail[root] = starts[0]
+            over_in, over_out, under_in, under_out, sign = cs[cj]
+            if role == OVER and over_out != root:
+                cs[cj] = Crossing(over_in, root, under_in, under_out, sign)
+            elif role == UNDER and under_out != root:
+                cs[cj] = Crossing(over_in, over_out, under_in, root, sign)
+            touched += (ci, cj)
+        return loops, touched
+
+    def smooth(self, x: int) -> int:
+        """The oriented smoothing of crossing x; returns the loops it closes."""
+        c = self.cs[x]
+        return self.splice((x,), ((c.over_in, c.under_out), (c.under_in, c.over_out)))[0]
+
+    def reduce(self) -> int:
+        """Apply R1/R2 moves until none is left; returns the loops they close.
+
+        The move is always the first kink by crossing position, otherwise
+        the first bigon, as a scan of the whole diagram would find.  After
+        a move only the touched crossings, and the crossings whose over
+        strand runs into one of them, can change their kink or bigon status.
+        """
+        cs, head, tail = self.cs, self.head, self.tail
+        kinks = set()
+        bigons = set()
+
+        def classify(indices):
+            for ci in indices:
+                c = cs[ci]
+                if c is None:
+                    kinks.discard(ci)
+                    bigons.discard(ci)
+                    continue
+                over_in, over_out, under_in, under_out, _ = c
+                if over_out == under_in or under_out == over_in:
+                    kinks.add(ci)
+                else:
+                    kinks.discard(ci)
+                dj, role = head[over_out]
+                if role == OVER and dj != ci:
+                    d = cs[dj]
+                    if under_out == d.under_in or d.under_out == under_in:
+                        bigons.add(ci)
+                        continue
+                bigons.discard(ci)
+
+        classify(range(len(cs)))
+        loops = 0
+        while kinks or bigons:
+            if kinks:
+                ci = min(kinks)
+                c = cs[ci]
+                dead = (ci,)
+                if c.over_out == c.under_in:
+                    pairs = ((c.over_in, c.under_out),)
+                else:
+                    pairs = ((c.under_in, c.over_out),)
+            else:
+                ci = min(bigons)
+                c = cs[ci]
+                dj = head[c.over_out][0]
+                d = cs[dj]
+                dead = (ci, dj)
+                if c.under_out == d.under_in:
+                    # coherent bigon: both strands travel ci -> dj
+                    pairs = ((c.over_in, d.over_out), (c.under_in, d.under_out))
+                else:
+                    # incoherent bigon: under strand travels dj -> ci
+                    pairs = ((c.over_in, d.over_out), (d.under_in, c.under_out))
+            closed, touched = self.splice(dead, pairs)
+            loops += closed
+            again = set(dead)
+            again.update(touched)
+            for e in touched:
+                p, role = tail[cs[e].over_in]
+                if role == OVER:
+                    again.add(p)
+            classify(again)
+        return loops
+
+    def crossings(self) -> list:
+        return [c for c in self.cs if c is not None]
 
 
 class DiagramStats(NamedTuple):
@@ -217,7 +378,7 @@ class LinkDiagram:
         """Remove crossing x by the oriented smoothing, reconnecting arcs."""
         if not (0 <= x < len(self.crossings)):
             raise DiagramError(f"no crossing {x}")
-        w = WorkingDiagram(self.crossings, self._head, self._tail)
+        w = _WorkingDiagram(self.crossings)
         loops = w.smooth(x)
         return LinkDiagram(w.crossings(), self.free_loops + loops)
 
@@ -235,7 +396,7 @@ class LinkDiagram:
         Each move is the first R1 kink by crossing position, otherwise the
         first R2 bigon; the move order fixes the arc labels of the result.
         """
-        w = WorkingDiagram(self.crossings, self._head, self._tail)
+        w = _WorkingDiagram(self.crossings)
         removed = self.free_loops + w.reduce()
         if not (w.deleted or removed):
             return self, 0
@@ -253,21 +414,6 @@ class LinkDiagram:
         n = len(crossings)
         if n == 0:
             return []
-        # Every crossing has two arcs in and two out, so the diagram is
-        # connected exactly when one crossing reaches all others forward.
-        head = self._head
-        reached = {0}
-        todo = [0]
-        for ci in todo:
-            c = crossings[ci]
-            for arc in (c.over_out, c.under_out):
-                cj = head[arc][0]
-                if cj not in reached:
-                    reached.add(cj)
-                    todo.append(cj)
-        if len(todo) == n:
-            return [LinkDiagram(crossings)] if self.free_loops else [self]
-        # The piece order (by union-find root) is the skein engine's child order.
         parent = list(range(n))
 
         def find(i):
@@ -288,6 +434,9 @@ class LinkDiagram:
         groups = {}
         for ci in range(n):
             groups.setdefault(find(ci), []).append(ci)
+        if len(groups) == 1:
+            return [LinkDiagram(crossings)] if self.free_loops else [self]
+        # The piece order (by union-find root) is the skein engine's child order.
         return [
             LinkDiagram([crossings[i] for i in members])
             for _, members in sorted(groups.items())
@@ -493,7 +642,7 @@ def smooth_and_simplify(crossings, x: int) -> tuple:
     one working form; only the simplified result is built (and validated)
     as a ``LinkDiagram``.  Returns (diagram, removed_loops).
     """
-    w = WorkingDiagram(crossings)
+    w = _WorkingDiagram(crossings)
     removed = w.smooth(x)
     removed += w.reduce()
     return LinkDiagram(w.crossings()), removed

@@ -14,14 +14,14 @@ current sign (earlier bad crossings already switched):
 Switching never changes the traversal, so the whole switch chain of one
 diagram unrolls in a single node: with all bad crossings switched the diagram
 is descending, hence an unlink worth delta^(mu-1), and the remaining children
-are the smoothed diagrams, each one crossing smaller.  The chain runs on a
-plain crossing list (no diagram is built for a switched intermediate); each
-smoothing goes straight into ``smooth_and_simplify``, which smooths and
-simplifies in one working form and builds only the simplified result.  Recursion therefore
+are the smoothed diagrams, each one crossing smaller.  Recursion therefore
 descends strictly in crossing count, which makes the memo DAG acyclic and
-termination unconditional.  Results are memoized on the canonical code of
-each simplified piece, and the memo can persist to a disk cache between runs
-(line format: ``code-hex TAB canonical-polynomial-text``).
+termination unconditional.  The chain runs on a plain crossing list (no
+diagram is built for a switched intermediate); each smoothing goes straight
+into ``smooth_and_simplify``, which smooths and simplifies in one working
+form and builds only the simplified result.  Results are memoized on the
+canonical code of each simplified piece, and the memo can persist to a disk
+cache between runs (line format: ``code-hex TAB canonical-polynomial-text``).
 
 The evaluator runs on an explicit stack, so deep skein trees cannot overflow
 the interpreter stack.  Identical inputs yield identical polynomials
