@@ -30,7 +30,7 @@ from .satellite import (
     quasitoric_closure,
     replace_crossing_with_half_twists,
 )
-from .skein import SkeinEngine, homfly
+from .skein import SkeinEngine
 
 __version__ = "0.1.0"
 
@@ -57,7 +57,6 @@ __all__ = [
     "canonical_whitehead",
     "delta_power",
     "from_braid_closure",
-    "homfly",
     "homfly_closed_braid",
     "jones_via_bracket",
     "quasitoric_beta",

@@ -5,18 +5,22 @@ Subcommands:
 * ``homfly``  compute one polynomial from a braid word, PD file, or
               half-twist matrix, optionally doubled or Whitehead-doubled.
 * ``stats``   diagram statistics only (crossings, Seifert circles, writhe,
-              components, degree bound, canonical genus).
+              components, degree bound, canonical genus); ``--out json``
+              prints them as one object, ``--out csv`` as a header and a row.
 * ``verify``  run verification suites; exit 0 iff all selected checks pass.
 * ``cache``   inspect or compact a polynomial cache file.
 
 Exit codes: 0 all checks pass; 1 check failure (or, with ``--strict``, a
-budget skip); 2 usage error.  The default cache path comes from the
-``SKEINKIT_CACHE`` environment variable when set.
+budget skip, or a reader that closed standard output early); 2 usage error.
+The default cache path comes from the ``SKEINKIT_CACHE`` environment
+variable when set.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import json
 import os
 import sys
 
@@ -76,10 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(SUITES) + ["all"],
         help="which suite to run",
     )
-    p_v.add_argument("--r-max", type=int, default=2, help="largest r for the main suite")
-    p_v.add_argument("--stretch", action="store_true", help="attempt the r=3 stretch computation")
+    p_v.add_argument(
+        "--r-max", type=int, default=2, help="largest r for the main suite (3: the 36-crossing run)"
+    )
     p_v.add_argument("--strict", action="store_true", help="budget skips fail the run")
-    p_v.add_argument("--no-jones", action="store_true", help="skip the bracket cross-checks")
     _add_budget_options(p_v)
 
     p_c = sub.add_parser("cache", help="inspect or compact a cache file")
@@ -201,20 +205,17 @@ def _cmd_homfly(args) -> int:
 def _cmd_stats(args) -> int:
     d, desc, _ = _construct(args)
     st = d.stats()
-    rep = InvariantReport(desc, "stats")
-    rep.morton = st.morton_bound
     if args.out == "text":
         print(
             f"{desc}: c={st.crossings} s={st.seifert_circles} w={st.writhe} "
             f"mu={st.components} bound={st.morton_bound} genus={st.canonical_genus}"
         )
+        return 0
+    row = {"input": desc, **st._asdict(), "canonical_genus": str(st.canonical_genus)}
+    if args.out == "json":
+        print(json.dumps(row, indent=2))
     else:
-        rep.check("crossings", st.crossings, st.crossings)
-        rep.check("seifert-circles", st.seifert_circles, st.seifert_circles)
-        rep.check("writhe", st.writhe, st.writhe)
-        rep.check("components", st.components, st.components)
-        rep.check("genus", str(st.canonical_genus), str(st.canonical_genus))
-        _emit([rep], args.out)
+        csv.writer(sys.stdout).writerows([row, row.values()])
     return 0
 
 
@@ -222,10 +223,7 @@ def _cmd_verify(args) -> int:
     engine = SkeinEngine(
         node_budget=args.nodes, wall_seconds=args.timeout, cache_path=_cache_path(args)
     )
-    cfg = SuiteConfig(
-        engine=engine, r_max=args.r_max, stretch=args.stretch, jones_check=not args.no_jones
-    )
-    reports = run_suites([args.suite], cfg)
+    reports = run_suites([args.suite], SuiteConfig(engine=engine, r_max=args.r_max))
     if engine.cache_path:
         engine.save_cache()
     _emit(reports, args.out)
@@ -258,28 +256,27 @@ def _cmd_cache(args) -> int:
     return 0
 
 
+_COMMANDS = {"homfly": _cmd_homfly, "stats": _cmd_stats, "verify": _cmd_verify, "cache": _cmd_cache}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "homfly":
-            return _cmd_homfly(args)
-        if args.command == "stats":
-            return _cmd_stats(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "cache":
-            return _cmd_cache(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except (UsageError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SkeinKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
+    except BrokenPipeError:
+        # The reader of standard output is gone (``skeinkit ... | head``); the
+        # flush above brings that here rather than to interpreter exit.  Point
+        # stdout at devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

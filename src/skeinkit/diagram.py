@@ -236,7 +236,7 @@ class DiagramStats(NamedTuple):
 class LinkDiagram:
     """An oriented link diagram; immutable after construction."""
 
-    __slots__ = ("crossings", "free_loops", "_head", "_tail", "_comps", "_code")
+    __slots__ = ("crossings", "free_loops", "_head", "_comps", "_code")
 
     def __init__(self, crossings=(), free_loops: int = 0):
         crossings = tuple(
@@ -261,7 +261,6 @@ class LinkDiagram:
         self.crossings = crossings
         self.free_loops = free_loops
         self._head = head
-        self._tail = tail
         self._comps = None
         self._code = None
 

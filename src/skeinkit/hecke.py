@@ -25,8 +25,8 @@ writhe correction.
 Permutations are tuples p with p[i] = final position of strand i; appending
 the letter s_j post-composes with the swap of positions j, j+1.
 
-The basis has n! elements; inputs above ``max_strands`` (default 10) are
-refused rather than silently thrashing memory.
+The basis has n! elements; inputs above ``MAX_STRANDS`` (10) are refused
+rather than silently thrashing memory.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ _VZ = LaurentPoly2.monomial(1, v=1, z=1)
 _V2 = LaurentPoly2.monomial(1, v=2)
 _VI2 = LaurentPoly2.monomial(1, v=-2)
 _NEG_VIZ = LaurentPoly2.monomial(-1, v=-1, z=1)
+
+MAX_STRANDS = 10
 
 _trace_cache: dict = {}
 
@@ -112,17 +114,17 @@ def _trace_basis(perm: tuple) -> LaurentPoly2:
     return value
 
 
-def homfly_closed_braid(b: BraidWord, max_strands: int = 10) -> LaurentPoly2:
+def homfly_closed_braid(b: BraidWord) -> LaurentPoly2:
     """HOMFLYPT polynomial of the closure of a braid word.
 
     Equals the skein engine's value on ``from_braid_closure(b)`` exactly.
     Anti-parallel satellite diagrams are not closed braids and must go
     through the skein engine instead.
     """
-    if b.strands > max_strands:
+    if b.strands > MAX_STRANDS:
         raise ResourceLimitError(
             f"{b.strands} strands would need a {b.strands}!-element basis "
-            f"(ceiling is {max_strands})"
+            f"(ceiling is {MAX_STRANDS})"
         )
     terms = {tuple(range(b.strands)): ONE}
     for k in b.letters:

@@ -34,6 +34,9 @@ _LOOP = LaurentPoly1({2: -1, -2: -1})  # -A^2 - A^-2
 _A = LaurentPoly1.monomial(1, 1)
 _A_INV = LaurentPoly1.monomial(1, -1)
 
+# Ceiling on the live boundary pairings of one contraction.
+STATE_BUDGET = 2_000_000
+
 
 def _bfs_crossing_order(d: LinkDiagram) -> list:
     """Process order with small running boundary: BFS over shared arcs."""
@@ -60,11 +63,11 @@ def _bfs_crossing_order(d: LinkDiagram) -> list:
     return order
 
 
-def jones_via_bracket(d: LinkDiagram, state_budget: int = 2_000_000) -> LaurentPoly1:
+def jones_via_bracket(d: LinkDiagram) -> LaurentPoly1:
     """Jones polynomial in a = t^(1/2), by bracket contraction plus writhe.
 
-    ``state_budget`` bounds the number of live boundary pairings; blowing it
-    raises a resource error rather than grinding.
+    More than ``STATE_BUDGET`` live boundary pairings raise a resource error
+    rather than grinding.
     """
     # Ends are (arc, 0) at the tail and (arc, 1) at the head; the initial
     # pairing joins each arc's two ends.  Smoothing a crossing consumes its
@@ -113,7 +116,7 @@ def jones_via_bracket(d: LinkDiagram, state_budget: int = 2_000_000) -> LaurentP
                 prev = new_states.get(k)
                 new_states[k] = value if prev is None else prev + value
         states = new_states
-        if len(states) > state_budget:
+        if len(states) > STATE_BUDGET:
             raise ResourceLimitError("bracket state budget exhausted")
 
     total = LaurentPoly1()

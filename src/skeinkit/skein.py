@@ -42,7 +42,7 @@ from .diagram import LinkDiagram, smooth_and_simplify
 from .errors import BudgetExceededError, CacheCorruptionError, DiagramError
 from .laurent import LaurentPoly2, delta_power
 
-__all__ = ["SkeinEngine", "homfly"]
+__all__ = ["SkeinEngine"]
 
 _ONE = LaurentPoly2.monomial(1)
 _POS_SWITCH = LaurentPoly2.monomial(1, v=2)
@@ -235,16 +235,3 @@ def _self_check(d: LinkDiagram, p: LaurentPoly2) -> None:
             raise AssertionError(
                 f"exponent parity violated at v^{ev} z^{ez} with {st.components} components"
             )
-
-
-_default_engine = None
-
-
-def homfly(d: LinkDiagram, engine: SkeinEngine | None = None) -> LaurentPoly2:
-    """Module-level convenience wrapper around a shared default engine."""
-    global _default_engine
-    if engine is None:
-        if _default_engine is None:
-            _default_engine = SkeinEngine()
-        engine = _default_engine
-    return engine.homfly(d)

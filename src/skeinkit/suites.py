@@ -3,13 +3,15 @@
 Suites:
 
 * ``main``       max-z degree 6r-1 for doubled quasitoric closures, both
-                 top signs, with the mirror transform cross-check; r >= 3
-                 only under the stretch flag.
+                 top signs, with the mirror transform cross-check, for every
+                 r up to ``r_max`` (``--r-max``; r = 3 is the 36-crossing run).
 * ``borromean``  bit-exact comparison of the doubled Borromean-rings
                  polynomial against the embedded reference table, plus the
-                 bracket-oracle cross-check.  One reference coefficient
-                 (v^-5 z^1) has two published candidate values (+12/-12);
-                 either is accepted and the engine's verdict is recorded.
+                 bracket-oracle cross-check, which always runs.  One
+                 reference coefficient (v^-5 z^1) has two published candidate
+                 values (+12/-12); either is accepted and the engine's
+                 verdict is recorded.  ``borromean_diff`` is the one
+                 comparison with the table; the acceptance gate uses it too.
 * ``family``     Whitehead-double degree formula max_z = 2c(K) over framing
                  windows and both clasp signs, with the doubled-link degree
                  and genus identities.
@@ -31,6 +33,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .braid import BraidWord, quasitoric_beta
@@ -50,7 +53,7 @@ from .satellite import (
 )
 from .skein import SkeinEngine
 
-__all__ = ["SuiteConfig", "SUITES", "run_suites", "BORROMEAN_DOUBLE_TABLE"]
+__all__ = ["SuiteConfig", "SUITES", "run_suites", "BORROMEAN_DOUBLE_TABLE", "borromean_diff"]
 
 # Reference coefficient table for the doubled Borromean rings (the closure
 # of the 3-strand quasitoric word with positive top sign): rows are
@@ -75,13 +78,18 @@ AMBIGUOUS_ENTRY = (-5, 1)  # (e_v, e_z): printed +12, antisymmetry says -12
 class SuiteConfig:
     engine: SkeinEngine = field(default_factory=SkeinEngine)
     r_max: int = 2
-    stretch: bool = False
-    jones_check: bool = True
 
 
-def _timed(report: InvariantReport, t0: float) -> InvariantReport:
-    report.ms = int((time.monotonic() - t0) * 1000)
-    return report
+@contextmanager
+def _report(reports: list, input: str, engine: str):
+    """A new report, appended to ``reports``; its ``ms`` is set when the block exits."""
+    t0 = time.monotonic()
+    rep = InvariantReport(input, engine)
+    reports.append(rep)
+    try:
+        yield rep
+    finally:
+        rep.ms = int((time.monotonic() - t0) * 1000)
 
 
 def _compute(cfg: SuiteConfig, report: InvariantReport, d: LinkDiagram, label="computation"):
@@ -120,49 +128,36 @@ def suite_main(cfg: SuiteConfig) -> list:
     mirror_pairs = {}
     for r in range(1, cfg.r_max + 1):
         for top_sign in (1, -1):
-            t0 = time.monotonic()
-            rep = InvariantReport(
-                f"doubled-closure(quasitoric r={r}, top_sign={top_sign:+d})", "skein"
-            )
-            reports.append(rep)
-            if r >= 3 and not cfg.stretch:
-                rep.skip(f"max-z-degree[r={r}]", "stretch goal; rerun with --stretch")
-                _timed(rep, t0)
-                continue
-            d = blackboard_double(quasitoric_closure(r, top_sign))
-            p = _compute(cfg, rep, d)
-            if p is None:
-                _timed(rep, t0)
-                continue
-            _record(rep, d, p)
-            rep.check(f"max-z-degree[r={r}]", 6 * r - 1, p.max_z_degree())
-            rep.check(f"degree-bound-sharp[r={r}]", d.stats().morton_bound, p.max_z_degree())
-            mirror_pairs.setdefault(r, {})[top_sign] = p
-            _timed(rep, t0)
+            name = f"doubled-closure(quasitoric r={r}, top_sign={top_sign:+d})"
+            with _report(reports, name, "skein") as rep:
+                d = blackboard_double(quasitoric_closure(r, top_sign))
+                p = _compute(cfg, rep, d)
+                if p is None:
+                    continue
+                _record(rep, d, p)
+                rep.check(f"max-z-degree[r={r}]", 6 * r - 1, p.max_z_degree())
+                rep.check(f"degree-bound-sharp[r={r}]", d.stats().morton_bound, p.max_z_degree())
+                mirror_pairs.setdefault(r, {})[top_sign] = p
     for r, pair in sorted(mirror_pairs.items()):
         if len(pair) == 2:
-            rep = InvariantReport(f"mirror-transform[r={r}]", "skein")
-            rep.check(
-                f"mirror-identity[r={r}]", True, pair[-1] == pair[1].mirror_image()
-            )
-            reports.append(rep)
+            with _report(reports, f"mirror-transform[r={r}]", "skein") as rep:
+                rep.check(
+                    f"mirror-identity[r={r}]", True, pair[-1] == pair[1].mirror_image()
+                )
     return reports
 
 
-def suite_borromean(cfg: SuiteConfig) -> list:
-    t0 = time.monotonic()
-    rep = InvariantReport("doubled-closure(quasitoric r=2, top_sign=+1)", "skein")
-    d = blackboard_double(quasitoric_closure(2, 1))
-    p = _compute(cfg, rep, d)
-    if p is None:
-        return [_timed(rep, t0)]
-    _record(rep, d, p)
+def borromean_diff(p: LaurentPoly2) -> dict:
+    """``{e_z: (diffs, note)}`` over the z-degrees of the table and of p, in order.
 
+    ``diffs`` maps each v-degree where p differs from the table to (table, p);
+    either +12 or -12 matches at ``AMBIGUOUS_ENTRY``, and that row's note says which.
+    """
     got_rows = {}
     for (ev, ez), c in p.terms().items():
         got_rows.setdefault(ez, {})[ev] = c
-    all_z = sorted(set(BORROMEAN_DOUBLE_TABLE) | set(got_rows))
-    for ez in all_z:
+    rows = {}
+    for ez in sorted(set(BORROMEAN_DOUBLE_TABLE) | set(got_rows)):
         want_row = dict(BORROMEAN_DOUBLE_TABLE.get(ez, {}))
         got_row = got_rows.get(ez, {})
         note = ""
@@ -179,16 +174,27 @@ def suite_borromean(cfg: SuiteConfig) -> list:
             for ev in set(want_row) | set(got_row)
             if want_row.get(ev, 0) != got_row.get(ev, 0)
         }
-        rep.check(f"coefficients[z^{ez}]", "{}", str(diffs), note)
-    rep.check("max-z-degree[r=2]", 11, p.max_z_degree())
+        rows[ez] = (diffs, note)
+    return rows
 
-    if cfg.jones_check:
+
+def suite_borromean(cfg: SuiteConfig) -> list:
+    reports = []
+    with _report(reports, "doubled-closure(quasitoric r=2, top_sign=+1)", "skein") as rep:
+        d = blackboard_double(quasitoric_closure(2, 1))
+        p = _compute(cfg, rep, d)
+        if p is None:
+            return reports
+        _record(rep, d, p)
+        for ez, (diffs, note) in borromean_diff(p).items():
+            rep.check(f"coefficients[z^{ez}]", "{}", str(diffs), note)
+        rep.check("max-z-degree[r=2]", 11, p.max_z_degree())
         rep.check(
             "jones-specialization-equals-bracket",
             True,
             specialize_homfly_to_jones(p) == jones_via_bracket(d),
         )
-    return [_timed(rep, t0)]
+    return reports
 
 
 def _family_samples():
@@ -204,43 +210,35 @@ def suite_family(cfg: SuiteConfig) -> list:
         w = base.writhe()
         doubled_degrees = {}
         for m in range(w - 2, w + 3):
-            t0 = time.monotonic()
-            rep = InvariantReport(f"doubled-link({name}, m={m})", "skein")
-            reports.append(rep)
-            d2 = canonical_double(base, m)
-            pd = _compute(cfg, rep, d2)
-            if pd is None:
-                _timed(rep, t0)
-                continue
-            _record(rep, d2, pd)
-            doubled_degrees[m] = pd.max_z_degree()
-            rep.check(f"doubled-degree-framing-invariance[m={m}]", 2 * c_base - 1, pd.max_z_degree())
-            _timed(rep, t0)
+            with _report(reports, f"doubled-link({name}, m={m})", "skein") as rep:
+                d2 = canonical_double(base, m)
+                pd = _compute(cfg, rep, d2)
+                if pd is None:
+                    continue
+                _record(rep, d2, pd)
+                doubled_degrees[m] = pd.max_z_degree()
+                rep.check(f"doubled-degree-framing-invariance[m={m}]", 2 * c_base - 1, pd.max_z_degree())
         for m in range(w - 2, w + 3):
             for sign in (1, -1):
-                t0 = time.monotonic()
                 tag = f"{name}, m={m}, clasp={'+' if sign > 0 else '-'}"
-                rep = InvariantReport(f"whitehead-double({tag})", "skein")
-                reports.append(rep)
-                dW = canonical_whitehead(base, m, sign)
-                pw = _compute(cfg, rep, dW)
-                if pw is None:
-                    _timed(rep, t0)
-                    continue
-                _record(rep, dW, pw)
-                rep.check(f"whitehead-degree-2c[{tag}]", 2 * c_base, pw.max_z_degree())
-                if m in doubled_degrees:
+                with _report(reports, f"whitehead-double({tag})", "skein") as rep:
+                    dW = canonical_whitehead(base, m, sign)
+                    pw = _compute(cfg, rep, dW)
+                    if pw is None:
+                        continue
+                    _record(rep, dW, pw)
+                    rep.check(f"whitehead-degree-2c[{tag}]", 2 * c_base, pw.max_z_degree())
+                    if m in doubled_degrees:
+                        rep.check(
+                            f"double-vs-whitehead-degree-shift[{tag}]",
+                            doubled_degrees[m],
+                            pw.max_z_degree() - 1,
+                        )
                     rep.check(
-                        f"double-vs-whitehead-degree-shift[{tag}]",
-                        doubled_degrees[m],
-                        pw.max_z_degree() - 1,
+                        f"whitehead-genus-equals-companion-crossings[{tag}]",
+                        c_base,
+                        dW.stats().canonical_genus,
                     )
-                rep.check(
-                    f"whitehead-genus-equals-companion-crossings[{tag}]",
-                    c_base,
-                    dW.stats().canonical_genus,
-                )
-                _timed(rep, t0)
     return reports
 
 
@@ -271,67 +269,55 @@ def suite_props(cfg: SuiteConfig) -> list:
     # degree-shift identities on the trefoil across the framing window
     trefoil = quasitoric_closure(1, 1)
     w = trefoil.writhe()
-    t0 = time.monotonic()
-    rep = InvariantReport("degree-shift-identities(trefoil, m=0..5)", "skein")
-    reports.append(rep)
-    m_w2 = {}
-    aborted = False
-    for m in range(0, 6):
-        p2 = _compute(cfg, rep, canonical_double(trefoil, m), f"doubled m={m}")
-        if p2 is None:
-            aborted = True
-            break
-        m_w2[m] = p2.max_z_degree()
-        for sign in (1, -1):
-            pw = _compute(cfg, rep, canonical_whitehead(trefoil, m, sign), f"whitehead m={m}")
-            if pw is None:
-                aborted = True
-                break
-            rep.check(
-                f"double-degree-is-whitehead-minus-1[m={m},clasp={'+' if sign > 0 else '-'}]",
-                pw.max_z_degree() - 1,
-                p2.max_z_degree(),
-            )
-        if aborted:
-            break
-    if not aborted:
+    with _report(reports, "degree-shift-identities(trefoil, m=0..5)", "skein") as rep:
+        m_w2 = {}
         for m in range(0, 6):
-            rep.check(f"twist-invariance-of-double-degree[m={m}]", m_w2[w], m_w2[m])
-    _timed(rep, t0)
+            p2 = _compute(cfg, rep, canonical_double(trefoil, m), f"doubled m={m}")
+            if p2 is None:
+                break
+            m_w2[m] = p2.max_z_degree()
+            for sign in (1, -1):
+                pw = _compute(cfg, rep, canonical_whitehead(trefoil, m, sign), f"whitehead m={m}")
+                if pw is None:
+                    break
+                rep.check(
+                    f"double-degree-is-whitehead-minus-1[m={m},clasp={'+' if sign > 0 else '-'}]",
+                    pw.max_z_degree() - 1,
+                    p2.max_z_degree(),
+                )
+            if rep.skipped:
+                break
+        if not rep.skipped:
+            for m in range(0, 6):
+                rep.check(f"twist-invariance-of-double-degree[m={m}]", m_w2[w], m_w2[m])
 
     # genus identities from diagram statistics only
-    t0 = time.monotonic()
-    rep = InvariantReport("genus-identities(diagram statistics)", "stats")
-    reports.append(rep)
-    samples = [("trefoil(quasitoric r=1)", trefoil)]
-    samples.append(_beta2_knot_sample())
-    for name, base in samples:
-        want = base.crossing_count()
-        genera = {
-            (m, sign): canonical_whitehead(base, m, sign).stats().canonical_genus
-            for m in range(-5, 9)
-            for sign in (1, -1)
-        }
-        rep.check(f"genus-equals-crossing-number[{name}]", {want}, set(genera.values()))
-    _timed(rep, t0)
+    with _report(reports, "genus-identities(diagram statistics)", "stats") as rep:
+        samples = [("trefoil(quasitoric r=1)", trefoil)]
+        samples.append(_beta2_knot_sample())
+        for name, base in samples:
+            want = base.crossing_count()
+            genera = {
+                (m, sign): canonical_whitehead(base, m, sign).stats().canonical_genus
+                for m in range(-5, 9)
+                for sign in (1, -1)
+            }
+            rep.check(f"genus-equals-crossing-number[{name}]", {want}, set(genera.values()))
 
     # combinatorial count series
-    t0 = time.monotonic()
-    rep = InvariantReport("count-series(quasitoric closures r<=6)", "stats")
-    reports.append(rep)
-    for r in range(1, 7):
-        b = quasitoric_beta(r, 1)
-        d = from_braid_closure(b)
-        rep.check(f"closure-crossings[r={r}]", 3 * r, d.crossing_count())
-        rep.check(
-            f"closure-components[r={r}]",
-            3 if r % 3 == 2 else 1,
-            d.component_count(),
-        )
-        st = blackboard_double(d).stats()
-        rep.check(f"doubled-seifert-circles[r={r}]", 6 * r + 2, st.seifert_circles)
-        rep.check(f"doubled-degree-bound[r={r}]", 6 * r - 1, st.morton_bound)
-    _timed(rep, t0)
+    with _report(reports, "count-series(quasitoric closures r<=6)", "stats") as rep:
+        for r in range(1, 7):
+            b = quasitoric_beta(r, 1)
+            d = from_braid_closure(b)
+            rep.check(f"closure-crossings[r={r}]", 3 * r, d.crossing_count())
+            rep.check(
+                f"closure-components[r={r}]",
+                3 if r % 3 == 2 else 1,
+                d.component_count(),
+            )
+            st = blackboard_double(d).stats()
+            rep.check(f"doubled-seifert-circles[r={r}]", 6 * r + 2, st.seifert_circles)
+            rep.check(f"doubled-degree-bound[r={r}]", 6 * r - 1, st.morton_bound)
     return reports
 
 
@@ -351,71 +337,63 @@ def suite_structural(cfg: SuiteConfig) -> list:
     soon as one evaluation exhausts the budget."""
     reports = []
 
-    t0 = time.monotonic()
     label = "mirror-identity-failures"
-    rep = InvariantReport("mirror-identity(100 random braids)", "skein")
-    reports.append(rep)
-    rng = random.Random(20260810)
-    failures = 0
-    for _ in range(100):
-        n = rng.randint(2, 4)
-        letters = [rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(rng.randint(1, 10))]
-        d = from_braid_closure(BraidWord(n, letters))
-        values = _compute_all(cfg, rep, [d, d.mirror()], label)
-        if values is None:
-            break
-        p, pm = values
-        if pm != p.mirror_image():
-            failures += 1
-        if d.component_count() % 2 == 1 and pm != p.substitute_v_inverse():
-            failures += 1
-    else:
-        rep.check(label, 0, failures)
-    _timed(rep, t0)
+    with _report(reports, "mirror-identity(100 random braids)", "skein") as rep:
+        rng = random.Random(20260810)
+        failures = 0
+        for _ in range(100):
+            n = rng.randint(2, 4)
+            letters = [rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(rng.randint(1, 10))]
+            d = from_braid_closure(BraidWord(n, letters))
+            values = _compute_all(cfg, rep, [d, d.mirror()], label)
+            if values is None:
+                break
+            p, pm = values
+            if pm != p.mirror_image():
+                failures += 1
+            if d.component_count() % 2 == 1 and pm != p.substitute_v_inverse():
+                failures += 1
+        else:
+            rep.check(label, 0, failures)
 
-    t0 = time.monotonic()
     label = "engine-agreement-mismatches"
-    rep = InvariantReport("engine-agreement(exhaustive, length<=6, strands<=3)", "skein+hecke")
-    reports.append(rep)
-    total = mismatches = 0
-    for b in _exhaustive_words():
-        p = _compute(cfg, rep, from_braid_closure(b), label)
-        if p is None:
-            break
-        total += 1
-        if homfly_closed_braid(b) != p:
-            mismatches += 1
-    else:
-        rep.check(label, 0, mismatches, f"{total} words compared")
-    _timed(rep, t0)
+    with _report(reports, "engine-agreement(exhaustive, length<=6, strands<=3)", "skein+hecke") as rep:
+        total = mismatches = 0
+        for b in _exhaustive_words():
+            p = _compute(cfg, rep, from_braid_closure(b), label)
+            if p is None:
+                break
+            total += 1
+            if homfly_closed_braid(b) != p:
+                mismatches += 1
+        else:
+            rep.check(label, 0, mismatches, f"{total} words compared")
 
-    t0 = time.monotonic()
     label = "markov-invariance-failures"
-    rep = InvariantReport("markov-invariance(50 random samples)", "skein")
-    reports.append(rep)
-    rng = random.Random(1729)
-    failures = 0
-    for _ in range(50):
-        n = rng.randint(2, 4)
-        letters = [rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(rng.randint(1, 8))]
-        b = BraidWord(n, letters)
-        moved = [
-            b.conjugate_by(rng.choice([1, -1]) * rng.randint(1, n - 1)),
-            b.stabilize(True),
-            b.stabilize(False),
-        ]
-        values = _compute_all(cfg, rep, [from_braid_closure(w) for w in [b] + moved], label)
-        if values is None:
-            break
-        p, *others = values
-        failures += sum(1 for pm in others if pm != p)
-    else:
-        rep.check(label, 0, failures)
-    _timed(rep, t0)
+    with _report(reports, "markov-invariance(50 random samples)", "skein") as rep:
+        rng = random.Random(1729)
+        failures = 0
+        for _ in range(50):
+            n = rng.randint(2, 4)
+            letters = [rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(rng.randint(1, 8))]
+            b = BraidWord(n, letters)
+            moved = [
+                b.conjugate_by(rng.choice([1, -1]) * rng.randint(1, n - 1)),
+                b.stabilize(True),
+                b.stabilize(False),
+            ]
+            values = _compute_all(cfg, rep, [from_braid_closure(w) for w in [b] + moved], label)
+            if values is None:
+                break
+            p, *others = values
+            failures += sum(1 for pm in others if pm != p)
+        else:
+            rep.check(label, 0, failures)
 
     return reports
 
 
+# In the order ``all`` runs them.
 SUITES = {
     "main": suite_main,
     "borromean": suite_borromean,
@@ -424,12 +402,10 @@ SUITES = {
     "structural": suite_structural,
 }
 
-SUITE_ORDER = ["main", "borromean", "family", "props", "structural"]
-
 
 def run_suites(names, cfg: SuiteConfig) -> list:
     if "all" in names:
-        names = SUITE_ORDER
+        names = list(SUITES)
     reports = []
     for name in names:
         reports.extend(SUITES[name](cfg))

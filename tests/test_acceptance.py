@@ -6,7 +6,6 @@ runs only when SKEINKIT_STRETCH=1 is set: a skip is acceptable there, a
 wrong degree is not.
 """
 
-import itertools
 import os
 import random
 import time
@@ -28,8 +27,10 @@ from skeinkit.satellite import (
 from skeinkit.skein import SkeinEngine
 from skeinkit.suites import (
     AMBIGUOUS_ENTRY,
-    BORROMEAN_DOUBLE_TABLE,
     SuiteConfig,
+    _beta2_knot_sample,
+    _exhaustive_words,
+    borromean_diff,
     suite_borromean,
 )
 
@@ -57,14 +58,7 @@ def test_criterion_1_borromean_double_bit_exact(tmp_path):
     cold_nodes = cold.counters()["nodes"]
     cold.save_cache()
 
-    mismatches = []
-    for ez in set(BORROMEAN_DOUBLE_TABLE) | {z for _, z in p.terms()}:
-        want_row = dict(BORROMEAN_DOUBLE_TABLE.get(ez, {}))
-        if ez == AMBIGUOUS_ENTRY[1]:
-            want_row[AMBIGUOUS_ENTRY[0]] = p.coefficient(*AMBIGUOUS_ENTRY)
-        for ev in set(want_row) | {v for v, z in p.terms() if z == ez}:
-            if want_row.get(ev, 0) != p.coefficient(ev, ez):
-                mismatches.append((ev, ez))
+    mismatches = [(ev, ez) for ez, (diffs, _) in borromean_diff(p).items() for ev in diffs]
     flagged = p.coefficient(*AMBIGUOUS_ENTRY)
     jones_ok = specialize_homfly_to_jones(p) == jones_via_bracket(d)
 
@@ -176,12 +170,7 @@ def test_criterion_4_degree_shift_identities(eng):
 def test_criterion_5_genus_identities():
     t0 = time.monotonic()
     trefoil = quasitoric_closure(1, 1)
-    beta2 = quasitoric_closure(2, 1)
-    knot = replace_crossing_with_half_twists(beta2, TwistSite(0, 2))
-    if knot.component_count() != 1:
-        knot = replace_crossing_with_half_twists(
-            knot, TwistSite(1, 2 * knot.crossings[1].sign)
-        )
+    _, knot = _beta2_knot_sample()
     assert knot.component_count() == 1
     ok = True
     for base in (trefoil, knot):
@@ -224,17 +213,9 @@ def test_criterion_6_structural_properties(eng):
 
     agree_ok = True
     words = 0
-    for n in (1, 2, 3):
-        gens = [g for k in range(1, n) for g in (k, -k)]
-        for length in range(0, 7):
-            if not gens and length > 0:
-                continue
-            for letters in itertools.product(gens, repeat=length):
-                b = BraidWord(n, letters)
-                words += 1
-                agree_ok = agree_ok and homfly_closed_braid(b) == eng.homfly(
-                    from_braid_closure(b)
-                )
+    for b in _exhaustive_words():
+        words += 1
+        agree_ok = agree_ok and homfly_closed_braid(b) == eng.homfly(from_braid_closure(b))
 
     markov_ok = True
     rng = random.Random(1729)
@@ -251,7 +232,7 @@ def test_criterion_6_structural_properties(eng):
             markov_ok = markov_ok and eng.homfly(from_braid_closure(bm)) == p
 
     seconds = time.monotonic() - t0
-    ok = mirror_ok and agree_ok and markov_ok and seconds <= 600
+    ok = mirror_ok and agree_ok and words == 5589 and markov_ok and seconds <= 600
     _record(
         6,
         ok,

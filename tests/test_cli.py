@@ -1,8 +1,20 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from skeinkit.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# sha256 of every ``verify --suite all`` report with ``ms`` removed.  A change
+# to any report's content changes it; such a change is documented in
+# CHANGES.md together with the new digest.
+ALL_REPORTS_SHA256 = "885de4af6cb6acedeeff4a8b942dd2c13ac4dd7fd74d0b8176bc5f923934712d"
 
 
 def run(capsys, *argv):
@@ -42,6 +54,19 @@ def test_stats_whitehead(capsys):
     code, out, _ = run(capsys, "stats", "--braid", "2: 1 1 1", "--whitehead", "+", "--twists-to", "0")
     assert code == 0
     assert "c=20" in out and "mu=1" in out and "genus=3" in out
+
+
+def test_stats_json_and_csv(capsys):
+    keys = ["input", "crossings", "seifert_circles", "writhe", "components", "morton_bound",
+            "canonical_genus"]
+    code, out, _ = run(capsys, "stats", "--braid", "2: 1 1 1", "--out", "json")
+    assert code == 0
+    row = json.loads(out)
+    assert list(row) == keys
+    assert [row[k] for k in keys[1:]] == [3, 2, 3, 1, 2, "1"]
+    code, out, _ = run(capsys, "stats", "--braid", "2: 1 1 1", "--out", "csv")
+    assert code == 0
+    assert out.splitlines() == [",".join(keys), "braid(2: 1 1 1),3,2,3,1,2,1"]
 
 
 def test_usage_errors(capsys):
@@ -96,6 +121,57 @@ def test_verify_props_csv(capsys):
     header = out.splitlines()[0]
     assert header.startswith("input,engine,max_z,morton,check_id")
     assert ",FAIL," not in out
+
+
+def test_verify_all_reports_are_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--out", "json")
+    assert code == 0
+    reports = json.loads(out)
+    for rep in reports:
+        del rep["ms"]
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == ALL_REPORTS_SHA256
+
+
+def test_r_max_alone_decides_r(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--suite", "main", "--r-max", "3", "--nodes", "1", "--out", "json"
+    )
+    assert code == 0
+    r3 = [rep for rep in json.loads(out) if "r=3" in rep["input"]]
+    assert [rep["input"] for rep in r3] == [
+        "doubled-closure(quasitoric r=3, top_sign=+1)",
+        "doubled-closure(quasitoric r=3, top_sign=-1)",
+    ]
+    for rep in r3:
+        assert rep["checks"] == [
+            {
+                "id": "computation",
+                "expected": "",
+                "got": "",
+                "status": "SKIP",
+                "note": "budget exhausted: skein node budget exhausted",
+            }
+        ]
+
+
+@pytest.mark.parametrize("out", ["text", "json"])
+def test_closed_stdout_is_clean_exit(out):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "skeinkit.cli", "verify", "--suite", "props", "--out", out],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": SRC},
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr == b""
 
 
 def test_verify_budget_skip_and_strict(capsys):

@@ -95,4 +95,4 @@ def test_torus_knots_match_skein(eng):
 
 def test_strand_ceiling():
     with pytest.raises(ResourceLimitError):
-        homfly_closed_braid(BraidWord(12, (1,)), max_strands=10)
+        homfly_closed_braid(BraidWord(12, (1,)))
