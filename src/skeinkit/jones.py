@@ -5,12 +5,17 @@ the bracket works unoriented and corrects by writhe afterwards, so it is
 immune to orientation-convention mistakes in the doubling construction's
 mixed-sign bookkeeping.
 
-The bracket is evaluated by tangle-wise contraction rather than raw state
-enumeration: crossings are processed in a breadth-first order over shared
-arcs, carrying a dictionary from boundary pairings to bracket coefficients,
-so 24-crossing doubles contract in milliseconds.  Loop closures multiply by
-(-A^2 - A^-2); the final writhe correction is (-A^3)^{-w}; the Jones
-variable is a = t^(1/2) = A^-2, in which every exponent is integral.
+The bracket is evaluated by contraction on a frontier rather than by raw
+state enumeration.  An arc's ends are ints, ``2*arc`` at its tail and
+``2*arc + 1`` at its head.  Processing a crossing consumes its four ends; the
+unconsumed ends of arcs with one end consumed form the frontier.  A state is
+a perfect matching of the frontier ends, stored as the tuple of partners in
+frontier order, and carries a bracket coefficient.  The next crossing is the
+one with the most of its arcs open, the lowest index on ties, so each split
+piece starts at its lowest crossing.  ``STATE_BUDGET`` caps the live states
+(boundary pairings) after each crossing.  Loop closures multiply by
+(-A^2 - A^-2); the final writhe correction is (-A^3)^{-w}; the Jones variable
+is a = t^(1/2) = A^-2, in which every exponent is integral.
 
 Smoothing rules in port roles (the A-smoothing of a positive crossing is its
 oriented smoothing; mirror for negative):
@@ -23,84 +28,74 @@ oriented smoothing; mirror for negative):
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .diagram import LinkDiagram
-from .errors import ResourceLimitError
+from .errors import DiagramError, ResourceLimitError
 from .laurent import LaurentPoly1, LaurentPoly2
 
 __all__ = ["jones_via_bracket", "specialize_homfly_to_jones"]
 
 
 _LOOP = LaurentPoly1({2: -1, -2: -1})  # -A^2 - A^-2
-_A = LaurentPoly1.monomial(1, 1)
-_A_INV = LaurentPoly1.monomial(1, -1)
+# A^(+-1) * loop^k, indexed by the k <= 2 loops one smoothing closes
+_A = tuple(LaurentPoly1.monomial(1, 1) * _LOOP**k for k in range(3))
+_A_INV = tuple(LaurentPoly1.monomial(1, -1) * _LOOP**k for k in range(3))
 
 # Ceiling on the live boundary pairings of one contraction.
 STATE_BUDGET = 2_000_000
 
 
-def _bfs_crossing_order(d: LinkDiagram) -> list:
-    """Process order with small running boundary: BFS over shared arcs."""
-    n = len(d.crossings)
-    by_arc = {}
-    for ci, c in enumerate(d.crossings):
-        for arc in (c.over_in, c.over_out, c.under_in, c.under_out):
-            by_arc.setdefault(arc, []).append(ci)
-    seen = [False] * n
+def _narrow_order(ends: list) -> list:
+    """Crossing order: most open arcs first, the lowest index on ties."""
+    at = {e: ci for ci, four in enumerate(ends) for e in four}
+    open_arcs = [0] * len(ends)
+    left = list(range(len(ends)))
     order = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = [start]
-        while queue:
-            ci = queue.pop(0)
-            order.append(ci)
-            for arc in d.crossings[ci][:4]:
-                for cj in by_arc.get(arc, ()):
-                    if not seen[cj]:
-                        seen[cj] = True
-                        queue.append(cj)
+    while left:
+        ci = max(left, key=open_arcs.__getitem__)  # first maximum: lowest index
+        left.remove(ci)
+        order.append(ci)
+        for e in ends[ci]:
+            open_arcs[at[e ^ 1]] += 1
     return order
 
 
 def jones_via_bracket(d: LinkDiagram) -> LaurentPoly1:
     """Jones polynomial in a = t^(1/2), by bracket contraction plus writhe.
 
-    More than ``STATE_BUDGET`` live boundary pairings raise a resource error
-    rather than grinding.
+    More than ``STATE_BUDGET`` live states raise a resource error.
     """
-    # Ends are (arc, 0) at the tail and (arc, 1) at the head; the initial
-    # pairing joins each arc's two ends.  Smoothing a crossing consumes its
-    # four ends, re-pairing or closing loops.
-    pairing = {}
-    for arc in d.arcs():
-        pairing[(arc, 0)] = (arc, 1)
-        pairing[(arc, 1)] = (arc, 0)
+    if d.is_empty():
+        raise DiagramError("the empty diagram has no Jones polynomial")
+    ends = [
+        (2 * c.over_in + 1, 2 * c.over_out, 2 * c.under_in + 1, 2 * c.under_out)
+        for c in d.crossings
+    ]
+    consumed = set()
+    front = []  # frontier ends, in the order of a state's partners
+    states = {(): LaurentPoly1.monomial(1)}
 
-    def key_of(p):
-        return tuple(sorted((a, b) for a, b in p.items() if a < b))
-
-    states = {key_of(pairing): LaurentPoly1.monomial(1)}
-
-    for ci in _bfs_crossing_order(d):
-        c = d.crossings[ci]
-        h_oi, h_oo = (c.over_in, 1), (c.over_out, 0)
-        h_ui, h_uo = (c.under_in, 1), (c.under_out, 0)
-        if c.sign > 0:
-            choices = (
-                (_A, ((h_oi, h_uo), (h_ui, h_oo))),
-                (_A_INV, ((h_oi, h_ui), (h_oo, h_uo))),
-            )
-        else:
-            choices = (
-                (_A, ((h_oi, h_ui), (h_oo, h_uo))),
-                (_A_INV, ((h_oi, h_uo), (h_ui, h_oo))),
-            )
+    for ci in _narrow_order(ends):
+        h_oi, h_oo, h_ui, h_uo = four = ends[ci]
+        # an arc first met here pairs this end with its other end
+        opened = {}
+        for e in four:
+            if e ^ 1 not in consumed:
+                opened[e] = e ^ 1
+                opened[e ^ 1] = e
+        consumed.update(four)
+        new_front = [e for e in front if e not in consumed]
+        new_front += [e for e in opened if e not in consumed]
+        key_of = itemgetter(*new_front) if new_front else lambda p: ()
+        a_joins, b_joins = ((h_oi, h_uo), (h_ui, h_oo)), ((h_oi, h_ui), (h_oo, h_uo))
+        if d.crossings[ci].sign < 0:
+            a_joins, b_joins = b_joins, a_joins
         new_states = {}
         for state_key, coeff in states.items():
-            base = dict(state_key)
-            base.update({b: a for a, b in state_key})
-            for weight, joins in choices:
+            base = dict(zip(front, state_key))
+            base.update(opened)
+            for weights, joins in ((_A, a_joins), (_A_INV, b_joins)):
                 p = dict(base)
                 loops = 0
                 for e1, e2 in joins:
@@ -111,18 +106,16 @@ def jones_via_bracket(d: LinkDiagram) -> LaurentPoly1:
                     else:
                         p[m1] = m2
                         p[m2] = m1
-                value = coeff * weight * _LOOP**loops
+                value = coeff * weights[loops]
                 k = key_of(p)
                 prev = new_states.get(k)
                 new_states[k] = value if prev is None else prev + value
         states = new_states
+        front = new_front
         if len(states) > STATE_BUDGET:
             raise ResourceLimitError("bracket state budget exhausted")
 
-    total = LaurentPoly1()
-    for _, coeff in states.items():
-        total = total + coeff
-    total = total * _LOOP**d.free_loops
+    total = states[()] * _LOOP**d.free_loops
     bracket = total.exact_div(_LOOP)  # unknot normalizes to 1
 
     w = d.writhe()
@@ -140,13 +133,20 @@ def specialize_homfly_to_jones(p: LaurentPoly2) -> LaurentPoly1:
 
     Negative z-powers are resolved by clearing z-denominators first and
     dividing exactly at the end; an inexact division signals that the input
-    was not a genuine link polynomial.
+    was not a genuine link polynomial.  The terms are grouped by z-degree,
+    and each row is multiplied once by a running power of a - a^-1.
     """
     if p.is_zero:
         return LaurentPoly1()
     u = LaurentPoly1({1: 1, -1: -1})
-    k = max(0, -p.min_z_degree())
-    num = LaurentPoly1()
+    rows = {}
     for (ev, ez), c in p.terms().items():
-        num = num + LaurentPoly1.monomial(c, 2 * ev) * u ** (ez + k)
+        rows.setdefault(ez, {})[2 * ev] = c
+    k = max(0, -min(rows))
+    num = LaurentPoly1()
+    power, at = LaurentPoly1.monomial(1), -k
+    for ez in sorted(rows):
+        power = power * u ** (ez - at)
+        at = ez
+        num = num + LaurentPoly1(rows[ez]) * power
     return num.exact_div(u**k)

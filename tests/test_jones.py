@@ -1,10 +1,14 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from skeinkit.braid import BraidWord
-from skeinkit.diagram import LinkDiagram, from_braid_closure
-from skeinkit.errors import SkeinKitError
+from skeinkit import jones
+from skeinkit.braid import BraidWord, toric
+from skeinkit.diagram import Crossing, LinkDiagram, from_braid_closure
+from skeinkit.errors import DiagramError, ResourceLimitError, SkeinKitError
+from skeinkit.hecke import homfly_closed_braid
 from skeinkit.jones import jones_via_bracket, specialize_homfly_to_jones
 from skeinkit.laurent import DELTA, LaurentPoly1, LaurentPoly2
 from skeinkit.satellite import blackboard_double, canonical_whitehead, quasitoric_closure
@@ -81,3 +85,151 @@ def test_specialization_matches_bracket_on_satellites(eng):
         canonical_whitehead(tref, 4, -1),
     ):
         assert specialize_homfly_to_jones(eng.homfly(d)) == jones_via_bracket(d)
+
+
+def test_empty_diagram_is_refused():
+    with pytest.raises(DiagramError, match="the empty diagram has no Jones polynomial"):
+        jones_via_bracket(LinkDiagram())
+    # free loops alone are a diagram: the k-component unlink
+    assert jones_via_bracket(LinkDiagram((), 2)) == LaurentPoly1({1: -1, -1: -1})
+    assert jones_via_bracket(LinkDiagram((), 3)) == LaurentPoly1({2: 1, 0: 2, -2: 1})
+
+
+def test_bracket_state_budget(monkeypatch):
+    monkeypatch.setattr(jones, "STATE_BUDGET", 10)
+    with pytest.raises(ResourceLimitError, match="bracket state budget exhausted"):
+        jones_via_bracket(from_braid_closure(toric(5, 6)))
+
+
+def test_bracket_of_t78_matches_hecke():
+    b = toric(7, 8)
+    t0 = time.process_time()
+    bracket = jones_via_bracket(from_braid_closure(b))
+    assert time.process_time() - t0 < 3.0  # the all-ends contraction took over 4 s
+    assert bracket == specialize_homfly_to_jones(homfly_closed_braid(b))
+
+
+# -- reference oracle ------------------------------------------------------
+#
+# The contraction that the frontier matching replaced: every state pairs both
+# ends of every arc of the diagram, as a sorted tuple, and crossings come in
+# breadth-first order over shared arcs.  The frontier contraction must give
+# exactly the same polynomial.
+
+_LOOP = LaurentPoly1({2: -1, -2: -1})
+_A = LaurentPoly1.monomial(1, 1)
+_A_INV = LaurentPoly1.monomial(1, -1)
+
+
+def oracle_bfs_order(d):
+    by_arc = {}
+    for ci, c in enumerate(d.crossings):
+        for arc in c[:4]:
+            by_arc.setdefault(arc, []).append(ci)
+    seen = [False] * len(d.crossings)
+    order = []
+    for start in range(len(d.crossings)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue = [start]
+        while queue:
+            ci = queue.pop(0)
+            order.append(ci)
+            for arc in d.crossings[ci][:4]:
+                for cj in by_arc[arc]:
+                    if not seen[cj]:
+                        seen[cj] = True
+                        queue.append(cj)
+    return order
+
+
+def oracle_bracket(d):
+    def key_of(p):
+        return tuple(sorted((a, b) for a, b in p.items() if a < b))
+
+    pairing = {}
+    for arc in d.arcs():
+        pairing[(arc, 0)] = (arc, 1)
+        pairing[(arc, 1)] = (arc, 0)
+    states = {key_of(pairing): LaurentPoly1.monomial(1)}
+    for ci in oracle_bfs_order(d):
+        c = d.crossings[ci]
+        h_oi, h_oo = (c.over_in, 1), (c.over_out, 0)
+        h_ui, h_uo = (c.under_in, 1), (c.under_out, 0)
+        a_joins, b_joins = ((h_oi, h_uo), (h_ui, h_oo)), ((h_oi, h_ui), (h_oo, h_uo))
+        if c.sign < 0:
+            a_joins, b_joins = b_joins, a_joins
+        new_states = {}
+        for state_key, coeff in states.items():
+            base = dict(state_key)
+            base.update({b: a for a, b in state_key})
+            for weight, joins in ((_A, a_joins), (_A_INV, b_joins)):
+                p = dict(base)
+                loops = 0
+                for e1, e2 in joins:
+                    m1 = p.pop(e1)
+                    m2 = p.pop(e2)
+                    if m1 == e2:
+                        loops += 1
+                    else:
+                        p[m1] = m2
+                        p[m2] = m1
+                k = key_of(p)
+                new_states[k] = new_states.get(k, 0) + coeff * weight * _LOOP**loops
+        states = new_states
+    total = sum(states.values(), LaurentPoly1()) * _LOOP**d.free_loops
+    w = d.writhe()
+    corrected = total.exact_div(_LOOP) * LaurentPoly1.monomial((-1) ** w, -3 * w)
+    return LaurentPoly1({-e // 2: c for e, c in corrected.terms().items()})
+
+
+# -- strategies ------------------------------------------------------------
+
+
+@st.composite
+def closures(draw, max_strands=6, max_letters=12):
+    """Closures on 1..max_strands strands; untouched strands are free loops."""
+    n = draw(st.integers(1, max_strands))
+    if n == 1:
+        return from_braid_closure(BraidWord(1, ()))
+    letter = st.integers(1, n - 1).flatmap(lambda k: st.sampled_from([k, -k]))
+    return from_braid_closure(BraidWord(n, draw(st.lists(letter, max_size=max_letters))))
+
+
+@st.composite
+def kinks(draw):
+    """One-letter closures: a curl, and the untouched strands as free loops."""
+    n = draw(st.integers(2, 4))
+    letter = draw(st.sampled_from([1, -1])) * draw(st.integers(1, n - 1))
+    return from_braid_closure(BraidWord(n, (letter,)))
+
+
+knots = closures(max_strands=3, max_letters=5).filter(lambda d: d.component_count() == 1)
+
+
+@st.composite
+def whitehead_doubles(draw):
+    return canonical_whitehead(draw(knots), draw(st.integers(-3, 3)), draw(st.sampled_from([1, -1])))
+
+
+@st.composite
+def split_unions(draw):
+    """Two closures side by side with extra free loops, crossings interleaved."""
+    parts = [draw(closures(max_letters=8)), draw(closures(max_letters=8))]
+    crossings = [
+        Crossing(*(a + 1000 * i for a in c[:4]), c.sign) for i, d in enumerate(parts) for c in d.crossings
+    ]
+    loops = sum(d.free_loops for d in parts) + draw(st.integers(0, 2))
+    return LinkDiagram(draw(st.permutations(crossings)), loops)
+
+
+bracket_inputs = st.one_of(
+    closures(), kinks(), knots.map(blackboard_double), whitehead_doubles(), split_unions()
+)
+
+
+@given(bracket_inputs)
+@settings(max_examples=200, deadline=None)
+def test_bracket_matches_all_ends_oracle(d):
+    assert jones_via_bracket(d) == oracle_bracket(d)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from skeinkit.braid import BraidWord, quasitoric_beta
+from skeinkit.braid import BraidWord
 from skeinkit.diagram import LinkDiagram, from_braid_closure
 from skeinkit.errors import BudgetExceededError, DiagramError
 from skeinkit.laurent import DELTA, LaurentPoly2, delta_power
