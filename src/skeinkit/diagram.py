@@ -9,15 +9,17 @@ A diagram is a tuple of crossings plus a count of crossing-free circles
 
 Arcs are oriented edges of the underlying 4-valent graph: every arc id
 occurs exactly once at an ``*_in`` port (its head) and exactly once at an
-``*_out`` port (its tail).  Planarity is trusted, not verified: diagrams
-arise from braid closures and the satellite constructors, which are planar
-by construction; externally supplied PD codes are validated combinatorially
-(port counts, orientation consistency) only.
+``*_out`` port (its tail).  Diagrams built in the package (braid closures,
+the satellite constructors) are planar by construction; a PD text is also
+checked for planarity when it is parsed (``from_pd_text``).
 
 Port convention (a repo convention; the sign disambiguates the embedding):
 the text form is ``PD[X(a,b,c,d;s), ...]`` with a..d in the order
 (over-in, over-out, under-in, under-out) and s in {+1, -1}.  ``L(k)``
 tokens add k free loops.  Braid closures give sigma_i crossings sign +1.
+Counterclockwise, the ports of a crossing come in the order (over-in,
+under-in, over-out, under-out) if s = +1 and (over-in, under-out, over-out,
+under-in) if s = -1.
 
 ``LinkDiagram`` values are immutable; skein moves return fresh diagrams.
 Inside a move, the private working form ``_WorkingDiagram`` (a crossing
@@ -47,6 +49,8 @@ __all__ = [
 OVER = 0
 UNDER = 1
 _SEPARATOR = 0xFFFF  # closes each component walk in canonical codes
+# _CCW[sign][slot]: the port slot next counterclockwise at a crossing
+_CCW = {1: (2, 3, 1, 0), -1: (3, 2, 0, 1)}
 
 _PD_X_RE = re.compile(
     r"X\(\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*;\s*([+-]?1?)\s*\)"
@@ -613,7 +617,28 @@ class LinkDiagram:
         leftover = _PD_L_RE.sub("", _PD_X_RE.sub("", inner))
         if re.sub(r"[\s,]", "", leftover):
             raise DiagramError(f"unrecognized tokens in PD text: {text!r}")
-        return LinkDiagram(crossings, loops)
+        d = LinkDiagram(crossings, loops)
+        # Planar iff every crossing-connected piece has F = c + 2 faces
+        # (Euler, with 2c edges), where the faces are the orbits of "cross
+        # the arc, then turn counterclockwise" on the ports.
+        other = {}
+        for ci, c in enumerate(crossings):
+            for slot, arc in enumerate(c[:4]):
+                other.setdefault(arc, []).append((ci, slot))
+        other = {p: q for p, q in other.values() for p, q in ((p, q), (q, p))}
+        seen = set()
+        faces = 0
+        for port in other:
+            faces += port not in seen
+            while port not in seen:
+                seen.add(port)
+                ci, slot = other[port]
+                port = (ci, _CCW[crossings[ci].sign][slot])
+        if faces != len(crossings) + 2 * len(d.split_pieces()):
+            raise DiagramError(
+                f"PD code is not planar: {faces} faces for {len(crossings)} crossings"
+            )
+        return d
 
 
 def _raise_first_fault(crossings) -> None:

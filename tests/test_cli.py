@@ -91,6 +91,15 @@ def test_pd_input_round_trip(tmp_path, capsys):
     assert "max_z = 1" in out
 
 
+def test_non_planar_pd_input_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.pd"
+    path.write_text("PD[X(1,3,2,4;+1), X(3,1,4,2;+1)]\n")
+    code, out, err = run(capsys, "homfly", "--pd", str(path))
+    assert code == 2
+    assert out == ""
+    assert "not planar" in err
+
+
 def test_k_a_input(tmp_path, capsys):
     path = tmp_path / "m.csv"
     path.write_text("1,1,1\n-1,-1,-1\n")

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from skeinkit.braid import BraidWord, quasitoric_beta
 from skeinkit.diagram import OVER, Crossing, LinkDiagram, from_braid_closure, smooth_and_simplify
 from skeinkit.errors import DiagramError
-from skeinkit.satellite import blackboard_double
+from skeinkit.satellite import blackboard_double, build_K_A, canonical_double, canonical_whitehead
 
 
 def closure(letters, strands=None):
@@ -181,6 +181,20 @@ def test_pd_round_trip():
         LinkDiagram.from_pd_text("X(1,2,3,4;+1)")
     with pytest.raises(DiagramError):
         LinkDiagram.from_pd_text("PD[Y(1,2,3,4;+1)]")
+
+
+NON_PLANAR_PD = "PD[X(1,3,2,4;+1), X(3,1,4,2;+1)]"
+
+
+def test_pd_parser_refuses_non_planar_codes():
+    # two crossings joined by four arcs in an order that no embedding in
+    # the plane realizes: 2 faces where a plane needs 4
+    with pytest.raises(DiagramError, match="not planar"):
+        LinkDiagram.from_pd_text(NON_PLANAR_PD)
+    # a sign that disagrees with the port order of a planar trefoil
+    text = closure([1, 1, 1]).to_pd_text().replace(";+1)", ";-1)", 1)
+    with pytest.raises(DiagramError, match="not planar"):
+        LinkDiagram.from_pd_text(text)
 
 
 def test_validation_rejects_bad_arcs():
@@ -429,3 +443,38 @@ def test_multi_component_codes_match_oracle():
             for piece in core.split_pieces():
                 assert piece.canonical_code() == oracle_code(piece)
         assert d.canonical_code() == oracle_code(d)
+
+
+# -- planarity of the PD text form -------------------------------------------
+
+
+@st.composite
+def knots(draw):
+    """Braid closures with one component, for the satellite constructors."""
+    d = draw(closures(max_strands=4, max_letters=7))
+    if d.component_count() != 1:
+        d = closure([1, 1, 1])
+    return d
+
+
+@st.composite
+def k_a_matrices(draw):
+    r = draw(st.integers(1, 3))
+    top = draw(st.sampled_from([1, -1]))
+    return [
+        [top * (-1) ** i * draw(st.integers(1, 3)) for _ in range(3)] for i in range(r)
+    ]
+
+
+planar_diagrams = st.one_of(
+    diagrams,
+    st.builds(canonical_double, knots(), st.integers(-3, 3)),
+    st.builds(canonical_whitehead, knots(), st.integers(-3, 3), st.sampled_from([1, -1])),
+    k_a_matrices().map(build_K_A),
+)
+
+
+@given(planar_diagrams)
+@settings(max_examples=200, deadline=None)
+def test_pd_round_trip_passes_planarity_check(d):
+    assert LinkDiagram.from_pd_text(d.to_pd_text()) == d
