@@ -6,6 +6,11 @@ free-group reduction or Markov-move normalization is performed here (closure
 invariance is exercised through the polynomial engines instead).
 
 Text form: ``n: k1 k2 ... km`` (strand count, colon, signed letters).
+
+The quasitoric word of type (r+1, 3) is three blocks sigma_r, ..., sigma_1
+with an r x 3 sign matrix whose signs are constant along rows and alternate
+down columns.  That matrix has one free sign, the top one, so
+``quasitoric_beta(r, top_sign)`` lists every valid word.
 """
 
 from __future__ import annotations
@@ -122,25 +127,11 @@ def quasitoric_beta(r: int, top_sign: int = 1) -> BraidWord:
 def validate_quasitoric(b: BraidWord, r: int) -> bool:
     """True iff b is a type-(r+1, 3) quasitoric word with a valid sign matrix.
 
-    Shape: three blocks of sigma_r, ..., sigma_1; signs constant along rows
+    Shape: three blocks of sigma_r, ..., sigma_1.  Signs constant along rows
     (epsilon_ij * epsilon_ij+1 > 0) and alternating down columns
-    (epsilon_ij * epsilon_i+1j < 0).
+    (epsilon_ij * epsilon_i+1j < 0) leave only the top sign free, so b is
+    valid iff it is ``quasitoric_beta`` for the sign of its first letter.
     """
     if r < 1 or b.strands != r + 1 or len(b.letters) != 3 * r:
         return False
-    eps = [[0] * 3 for _ in range(r)]
-    for j in range(3):
-        for i in range(r):
-            k = b.letters[j * r + i]
-            if abs(k) != r - i:
-                return False
-            eps[i][j] = 1 if k > 0 else -1
-    for i in range(r):
-        for j in range(2):
-            if eps[i][j] * eps[i][j + 1] <= 0:
-                return False
-    for i in range(r - 1):
-        for j in range(3):
-            if eps[i][j] * eps[i + 1][j] >= 0:
-                return False
-    return True
+    return b == quasitoric_beta(r, 1 if b.letters[0] > 0 else -1)

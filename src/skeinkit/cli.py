@@ -23,16 +23,17 @@ import csv
 import json
 import os
 import sys
+from collections import Counter
 
 from .braid import BraidWord
 from .diagram import LinkDiagram, from_braid_closure
-from .errors import BudgetExceededError, SkeinKitError
+from .errors import SkeinKitError
 from .hecke import homfly_closed_braid
 from .jones import jones_via_bracket, specialize_homfly_to_jones
-from .report import InvariantReport, reports_to_csv, reports_to_json
+from .report import FAIL, PASS, SKIP, InvariantReport, reports_to_csv, reports_to_json
 from .satellite import blackboard_double, build_K_A, canonical_double, canonical_whitehead
 from .skein import SkeinEngine
-from .suites import SUITES, SuiteConfig, run_suites
+from .suites import SUITES, SuiteConfig, _compute, _record, run_suites
 
 __all__ = ["main"]
 
@@ -108,8 +109,7 @@ def _read_matrix(path: str) -> list:
 
 
 def _base_diagram(args) -> tuple:
-    sources = [s for s in ("braid", "pd", "k_a") if getattr(args, s.replace("-", "_"), None)]
-    if len(sources) != 1:
+    if sum(1 for s in (args.braid, args.pd, args.k_a) if s) != 1:
         raise UsageError("exactly one of --braid, --pd, --k-a is required")
     try:
         if args.braid:
@@ -162,30 +162,27 @@ def _emit(reports: list, out: str) -> None:
 
 def _cmd_homfly(args) -> int:
     d, desc, word = _construct(args)
+    if args.engine != "skein" and word is None:
+        raise UsageError(
+            "the hecke engine accepts coherent braid-closure inputs only; "
+            "doubled and PD inputs go through --engine skein"
+        )
     engine = SkeinEngine(
         node_budget=args.nodes, wall_seconds=args.timeout, cache_path=_cache_path(args)
     )
     rep = InvariantReport(desc, args.engine)
     skein_poly = hecke_poly = None
-    try:
-        if args.engine in ("skein", "both"):
-            skein_poly = engine.homfly(d)
-        if args.engine in ("hecke", "both"):
-            if word is None:
-                raise UsageError(
-                    "the hecke engine accepts coherent braid-closure inputs only; "
-                    "doubled and PD inputs go through --engine skein"
-                )
-            hecke_poly = homfly_closed_braid(word)
-    except BudgetExceededError as exc:
-        rep.skip("computation", f"budget exhausted: {exc.args[0]}")
+    if args.engine != "hecke":
+        skein_poly = _compute(SuiteConfig(engine=engine), rep, d)
+    if engine.cache_path:
+        engine.save_cache()
+    if rep.skipped:
         _emit([rep], args.out)
         return 1
-
+    if args.engine != "skein":
+        hecke_poly = homfly_closed_braid(word)
     p = skein_poly if skein_poly is not None else hecke_poly
-    rep.polynomial = p
-    rep.max_z = p.max_z_degree() if not p.is_zero else None
-    rep.morton = d.stats().morton_bound
+    _record(rep, d, p)
     if args.engine == "both":
         rep.check("engines-agree", True, skein_poly == hecke_poly)
     if args.check == "jones":
@@ -194,8 +191,6 @@ def _cmd_homfly(args) -> int:
             True,
             specialize_homfly_to_jones(p) == jones_via_bracket(d),
         )
-    if engine.cache_path:
-        engine.save_cache()
     _emit([rep], args.out)
     if args.out == "text" and args.engine == "both" and skein_poly == hecke_poly:
         print("engines agree")
@@ -230,12 +225,8 @@ def _cmd_verify(args) -> int:
     failed = any(r.failed for r in reports)
     skipped = any(r.skipped for r in reports)
     if args.out == "text":
-        counts = (
-            sum(1 for r in reports for c in r.checks if c.status == "PASS"),
-            sum(1 for r in reports for c in r.checks if c.status == "FAIL"),
-            sum(1 for r in reports for c in r.checks if c.status == "SKIP"),
-        )
-        print(f"checks: {counts[0]} passed, {counts[1]} failed, {counts[2]} skipped")
+        counts = Counter(c.status for r in reports for c in r.checks)
+        print(f"checks: {counts[PASS]} passed, {counts[FAIL]} failed, {counts[SKIP]} skipped")
     if failed:
         return 1
     if skipped and args.strict:

@@ -53,7 +53,7 @@ _SEPARATOR = 0xFFFF  # closes each component walk in canonical codes
 _CCW = {1: (2, 3, 1, 0), -1: (3, 2, 0, 1)}
 
 _PD_X_RE = re.compile(
-    r"X\(\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*;\s*([+-]?1?)\s*\)"
+    r"X\(\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*;\s*([+-]?1)\s*\)"
 )
 _PD_L_RE = re.compile(r"L\(\s*(\d+)\s*\)")
 
@@ -455,22 +455,15 @@ class LinkDiagram:
         descending, hence an unlink; a diagram with none is already one.
         """
         head = self._head
-        crossings = self.crossings
         visited = set()
         bad = []
         for comp in self._components():
-            start = comp[0]
-            arc = start
-            while True:
+            for arc in comp:
                 ci, role = head[arc]
                 if ci not in visited:
                     visited.add(ci)
                     if role == UNDER:
                         bad.append(ci)
-                c = crossings[ci]
-                arc = c.over_out if role == OVER else c.under_out
-                if arc == start:
-                    break
         return bad
 
     # -- canonical encoding ------------------------------------------------

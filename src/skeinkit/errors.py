@@ -40,4 +40,5 @@ class ResourceLimitError(SkeinKitError):
 
 
 class CacheCorruptionError(SkeinKitError):
-    """A memo or disk-cache entry would be overwritten with a different value."""
+    """A memo entry would be overwritten with a different value, or a
+    disk-cache line does not parse."""

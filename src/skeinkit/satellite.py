@@ -28,6 +28,13 @@ framing target, as the genus identities require.
 
 A positive clasp is two positive crossings (switching one of them must turn
 the diagram into an unknot, fixing the convention empirically).
+
+Family sign matrix
+------------------
+``build_K_A`` takes an r x 3 matrix of half-twist counts whose signs are
+constant along rows and alternate down columns.  Such a sign matrix has one
+free sign, that of the top-left entry; with every |n_ij| = 1 the closure is
+``quasitoric_closure(r, that sign)``.
 """
 
 from __future__ import annotations
@@ -174,10 +181,6 @@ def _closed_band(blocks):
     return LinkDiagram(crossings)
 
 
-def _twist_blocks(k: int) -> list:
-    return [_full_twist_block(-1 if k > 0 else 1)] * abs(k)
-
-
 def _twist_site(d: LinkDiagram, arc_count: int):
     """Overstrand-ribbon arcs inside the tangle at the minimal arc's head."""
     ci, _ = d.arc_head(min(d.arcs()))
@@ -185,39 +188,35 @@ def _twist_site(d: LinkDiagram, arc_count: int):
     return i1, i1 + 1
 
 
+def _banded(d: LinkDiagram, m: int, blocks: list, caller: str) -> LinkDiagram:
+    """The double of the knot diagram d with (m - w(D)) full twists at
+    ``_twist_site`` and then ``blocks`` in the band section of the minimal arc."""
+    if d.component_count() != 1:
+        raise DiagramError(f"{caller} needs a knot diagram (one component)")
+    k = m - d.writhe()
+    twists = [_full_twist_block(-1 if k > 0 else 1)] * abs(k)
+    if not d.crossings:
+        return _closed_band(twists + blocks) if twists or blocks else LinkDiagram((), 2)
+    crossings, amap, fresh = _double_with_map(d)
+    if twists:
+        i1, i2 = _twist_site(d, len(amap))
+        crossings, fresh = _insert_into_band(crossings, i1, i2, twists, fresh)
+    if blocks:
+        a0, a1 = amap[min(d.arcs())]
+        crossings, _ = _insert_into_band(crossings, a0, a1, blocks, fresh)
+    return LinkDiagram(crossings)
+
+
 def canonical_double(d: LinkDiagram, m: int) -> LinkDiagram:
     """Doubled link diagram of a knot diagram with (m - w(D)) full twists."""
-    if d.component_count() != 1:
-        raise DiagramError("canonical_double needs a knot diagram (one component)")
-    k = m - d.writhe()
-    if not d.crossings:
-        if k == 0:
-            return LinkDiagram((), 2)
-        return _closed_band(_twist_blocks(k))
-    crossings, amap, fresh = _double_with_map(d)
-    if k == 0:
-        return LinkDiagram(crossings)
-    i1, i2 = _twist_site(d, len(amap))
-    crossings, _ = _insert_into_band(crossings, i1, i2, _twist_blocks(k), fresh)
-    return LinkDiagram(crossings)
+    return _banded(d, m, [], "canonical_double")
 
 
 def canonical_whitehead(d: LinkDiagram, m: int, clasp_sign: int) -> LinkDiagram:
     """Canonical m-twisted Whitehead-double diagram with the given clasp sign."""
     if clasp_sign not in (1, -1):
         raise DiagramError("clasp_sign must be +1 or -1")
-    if d.component_count() != 1:
-        raise DiagramError("canonical_whitehead needs a knot diagram (one component)")
-    k = m - d.writhe()
-    if not d.crossings:
-        return _closed_band(_twist_blocks(k) + [_clasp_block(clasp_sign)])
-    crossings, amap, fresh = _double_with_map(d)
-    if k:
-        i1, i2 = _twist_site(d, len(amap))
-        crossings, fresh = _insert_into_band(crossings, i1, i2, _twist_blocks(k), fresh)
-    a0, a1 = amap[min(d.arcs())]
-    crossings, _ = _insert_into_band(crossings, a0, a1, [_clasp_block(clasp_sign)], fresh)
-    result = LinkDiagram(crossings)
+    result = _banded(d, m, [_clasp_block(clasp_sign)], "canonical_whitehead")
     assert result.component_count() == 1
     return result
 

@@ -24,9 +24,13 @@ canonical code of each simplified piece, and the memo can persist to a disk
 cache between runs (line format: ``code-hex TAB canonical-polynomial-text``).
 
 The evaluator runs on an explicit stack, so deep skein trees cannot overflow
-the interpreter stack.  Identical inputs yield identical polynomials
-regardless of the memo hit pattern; a memo entry is never overwritten with a
-different value.
+the interpreter stack.  A node is expanded once, when it first reaches the
+top: it pushes its children that are not memoized and keeps only their
+codes.  Every child has fewer crossings than its parent, so it is never an
+ancestor, and each is in the memo by the time the parent is on top again;
+the second visit only combines memo values.  Identical inputs yield
+identical polynomials regardless of the memo hit pattern; a memo entry is
+never overwritten with a different value.
 
 Thread-safety: diagrams and polynomials are immutable, and the memo table
 tolerates concurrent insertion of identical key/value pairs; the engine
@@ -40,15 +44,13 @@ import time
 
 from .diagram import LinkDiagram, smooth_and_simplify
 from .errors import BudgetExceededError, CacheCorruptionError, DiagramError
-from .laurent import LaurentPoly2, delta_power
+from .laurent import ONE, LaurentPoly2, delta_power
 
 __all__ = ["SkeinEngine"]
 
-_ONE = LaurentPoly2.monomial(1)
-_POS_SWITCH = LaurentPoly2.monomial(1, v=2)
-_POS_SMOOTH = LaurentPoly2.monomial(1, v=1, z=1)
-_NEG_SWITCH = LaurentPoly2.monomial(1, v=-2)
-_NEG_SMOOTH = LaurentPoly2.monomial(-1, v=-1, z=1)
+# (smoothed coefficient, switched coefficient) of a positive / negative crossing
+_POS = (LaurentPoly2.monomial(1, v=1, z=1), LaurentPoly2.monomial(1, v=2))
+_NEG = (LaurentPoly2.monomial(-1, v=-1, z=1), LaurentPoly2.monomial(1, v=-2))
 
 
 class SkeinEngine:
@@ -69,15 +71,20 @@ class SkeinEngine:
 
     def load_cache(self, path) -> int:
         count = 0
-        with open(path, "r", encoding="ascii") as fh:
-            for line in fh:
+        # A byte that is not ASCII decodes to U+FFFD, which no field accepts.
+        with open(path, "r", encoding="ascii", errors="replace") as fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
                 code_hex, _, poly_text = line.partition("\t")
-                if not poly_text:
-                    raise CacheCorruptionError(f"bad cache line: {line!r}")
-                self._memo_write(bytes.fromhex(code_hex), LaurentPoly2.parse_text(poly_text))
+                try:
+                    code, value = bytes.fromhex(code_hex), LaurentPoly2.parse_text(poly_text)
+                except (ValueError, OverflowError) as exc:
+                    raise CacheCorruptionError(
+                        f"{path}: bad cache line {lineno}: {line!r} ({exc})"
+                    ) from exc
+                self._memo_write(code, value)
                 count += 1
         self.preloaded += count
         return count
@@ -131,78 +138,63 @@ class SkeinEngine:
             self.memo_hits += 1
             return
         deadline = None if self.wall_seconds is None else t0 + self.wall_seconds
-        nodes = {}
+        nodes = {}  # code -> (unlink term, [(coeff, delta exponent, child codes)])
         stack = [(code0, piece0)]
         while stack:
             code, piece = stack[-1]
             if code in memo:
                 stack.pop()
                 continue
-            node = nodes.get(code)
-            if node is None:
-                self.nodes_expanded += 1
-                if self.nodes_expanded > self.node_budget:
-                    raise BudgetExceededError(
-                        "skein node budget exhausted",
-                        nodes=self.nodes_expanded,
-                        elapsed=time.monotonic() - t0,
-                        memo_size=len(memo),
-                    )
-                if deadline is not None and time.monotonic() > deadline:
-                    raise BudgetExceededError(
-                        "skein wall-clock budget exhausted",
-                        nodes=self.nodes_expanded,
-                        elapsed=time.monotonic() - t0,
-                        memo_size=len(memo),
-                    )
-                bad = piece.non_descending_crossings()
-                if not bad:
-                    self._memo_write(code, delta_power(piece.component_count() - 1))
-                    stack.pop()
-                    continue
-                # Unroll the switch chain on the crossing list: each bad
-                # crossing contributes its smoothed diagram, and the fully
-                # switched end is an unlink.
-                prefix = _ONE
-                terms = []
-                cs = list(piece.crossings)
-                for x in bad:
-                    smoothed = _decompose(*smooth_and_simplify(cs, x))
-                    if cs[x].sign > 0:
-                        terms.append((prefix * _POS_SMOOTH, smoothed))
-                        prefix = prefix * _POS_SWITCH
-                    else:
-                        terms.append((prefix * _NEG_SMOOTH, smoothed))
-                        prefix = prefix * _NEG_SWITCH
-                    cs[x] = cs[x].switched()
-                tail = prefix * delta_power(piece.component_count() - 1)
-                nodes[code] = (tail, terms)
-                for _, (_, children) in terms:
-                    for child_code, child_piece in children:
-                        if child_code in memo:
-                            self.memo_hits += 1
-                        else:
-                            stack.append((child_code, child_piece))
-            else:
-                tail, terms = node
-                pending = [
-                    child
-                    for _, (_, children) in terms
-                    for child in children
-                    if child[0] not in memo
-                ]
-                if pending:
-                    stack.extend(pending)
-                    continue
-                value = tail
-                for coeff, (exponent, children) in terms:
+            node = nodes.pop(code, None)
+            if node is not None:
+                # Second visit: every child is memoized (module docstring).
+                value, terms = node
+                for coeff, exponent, child_codes in terms:
                     part = delta_power(exponent)
-                    for child_code, _ in children:
+                    for child_code in child_codes:
                         part = part * memo[child_code]
                     value = value + coeff * part
                 self._memo_write(code, value)
-                del nodes[code]
                 stack.pop()
+                continue
+            self.nodes_expanded += 1
+            if self.nodes_expanded > self.node_budget:
+                raise BudgetExceededError(
+                    "skein node budget exhausted",
+                    nodes=self.nodes_expanded,
+                    elapsed=time.monotonic() - t0,
+                    memo_size=len(memo),
+                )
+            if deadline is not None and time.monotonic() > deadline:
+                raise BudgetExceededError(
+                    "skein wall-clock budget exhausted",
+                    nodes=self.nodes_expanded,
+                    elapsed=time.monotonic() - t0,
+                    memo_size=len(memo),
+                )
+            bad = piece.non_descending_crossings()
+            if not bad:
+                self._memo_write(code, delta_power(piece.component_count() - 1))
+                stack.pop()
+                continue
+            # Unroll the switch chain on the crossing list: each bad
+            # crossing contributes its smoothed diagram, and the fully
+            # switched end is an unlink.
+            prefix = ONE
+            terms = []
+            cs = list(piece.crossings)
+            for x in bad:
+                exponent, children = _decompose(*smooth_and_simplify(cs, x))
+                smooth, switch = _POS if cs[x].sign > 0 else _NEG
+                terms.append((prefix * smooth, exponent, [c for c, _ in children]))
+                prefix = prefix * switch
+                cs[x] = cs[x].switched()
+                for child in children:
+                    if child[0] in memo:
+                        self.memo_hits += 1
+                    else:
+                        stack.append(child)
+            nodes[code] = (prefix * delta_power(piece.component_count() - 1), terms)
 
 
 def _decompose(core: LinkDiagram, removed: int):

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from skeinkit import cli
 from skeinkit.cli import main
+from skeinkit.skein import SkeinEngine
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -98,6 +100,64 @@ def test_non_planar_pd_input_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "not planar" in err
+
+
+def test_pd_sign_without_digit_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.pd"
+    path.write_text("PD[X(0,3,1,2;), X(2,5,3,4;+), X(4,1,5,0;1)]\n")
+    code, out, err = run(capsys, "homfly", "--pd", str(path))
+    assert code == 2
+    assert out == ""
+    assert "unrecognized tokens" in err
+
+
+def test_hecke_refuses_non_braid_before_skein_work(tmp_path, capsys):
+    cache = tmp_path / "c.cache"
+    code, out, err = run(
+        capsys, "homfly", "--braid", "2: 1 1 1", "--double", "--engine", "both",
+        "--nodes", "1", "--cache", str(cache),
+    )
+    assert code == 2
+    assert out == ""
+    assert "braid-closure" in err
+    assert not cache.exists()
+
+
+def test_homfly_budget_skip_saves_cache(tmp_path, capsys, monkeypatch):
+    # Memo entries are finished values, so a SKIP keeps them for the next run.
+    cache = tmp_path / "c.cache"
+    argv = ["homfly", "--braid", "3: 1 1 1 2 -1 2", "--whitehead", "+", "--cache", str(cache)]
+    code, out, _ = run(capsys, *argv, "--nodes", "50")
+    assert code == 1
+    assert "[skip] computation  (budget exhausted: skein node budget exhausted)" in out
+    assert "P =" not in out
+    saved = len(cache.read_text().splitlines())
+    assert saved > 0
+
+    engines = []
+
+    class RecordingEngine(SkeinEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    monkeypatch.setattr(cli, "SkeinEngine", RecordingEngine)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "P =" in out
+    assert engines[0].counters()["preloaded"] == saved
+    assert len(cache.read_text().splitlines()) > saved
+
+
+@pytest.mark.parametrize("line", ["zz\t1*v^0*z^0", "abcd\tnot a poly"])
+def test_corrupt_cache_line_exits_1(tmp_path, capsys, line):
+    cache = tmp_path / "c.cache"
+    cache.write_text(f"ab\t1*v^0*z^0\n{line}\n")
+    for argv in (["homfly", "--braid", "2: 1 1 1"], ["verify", "--suite", "props"], ["cache", "inspect"]):
+        code, out, err = run(capsys, *argv, "--cache", str(cache))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "line 2: " in err
 
 
 def test_k_a_input(tmp_path, capsys):

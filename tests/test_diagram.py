@@ -197,6 +197,18 @@ def test_pd_parser_refuses_non_planar_codes():
         LinkDiagram.from_pd_text(text)
 
 
+def test_pd_sign_needs_its_digit():
+    with pytest.raises(DiagramError, match="unrecognized tokens"):
+        LinkDiagram.from_pd_text("PD[X(0,3,1,2;), X(2,5,3,4;+), X(4,1,5,0;1)]")
+    text = closure([1, 1, 1]).to_pd_text()
+    for sign in ("", "+", "-"):
+        with pytest.raises(DiagramError, match="unrecognized tokens"):
+            LinkDiagram.from_pd_text(text.replace(";+1)", f";{sign})", 1))
+    assert LinkDiagram.from_pd_text(text.replace(";+1)", ";1)")) == closure([1, 1, 1])
+    mirror = closure([-1, -1, -1])
+    assert LinkDiagram.from_pd_text(mirror.to_pd_text()) == mirror
+
+
 def test_validation_rejects_bad_arcs():
     with pytest.raises(DiagramError):
         LinkDiagram([Crossing(1, 2, 1, 3, 1)])  # arc 1 has two heads

@@ -1,4 +1,5 @@
-"""Every imported name in the package and the tests is used."""
+"""Every imported name in the package and the tests is used, and every private
+module-level function of the package has a caller in the package."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,47 @@ def test_no_unused_imports():
         for line, name in unused_imports(ast.parse(path.read_text(), str(path))):
             found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def unreferenced_private_functions(trees: dict) -> list:
+    """``module:line: name`` of each module-level ``_private`` function that no
+    module in ``trees`` (a dict of module name -> parsed tree) reads by name,
+    attribute or import."""
+    defined = {}
+    used = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            if node.name.startswith("_") and not node.name.startswith("__"):
+                defined[node.name] = f"{module}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return sorted(f"{where}: {name}" for name, where in defined.items() if name not in used)
+
+
+def test_unreferenced_private_functions_are_caught():
+    trees = {
+        "a": ast.parse(
+            "def _dead(): pass\ndef _called(): pass\ndef _imported(): pass\n"
+            "def _attr(): pass\ndef __dunder__(): pass\ndef public(): _called()\n"
+            "class K:\n    def _method(self): pass\n"
+        ),
+        "b": ast.parse("from a import _imported\nimport a\na._attr\n"),
+    }
+    assert unreferenced_private_functions(trees) == ["a:1: _dead"]
+
+
+def test_no_unreferenced_private_functions():
+    src = ROOT / "src"
+    trees = {
+        str(path.relative_to(ROOT)): ast.parse(path.read_text(), str(path))
+        for path in sorted(src.rglob("*.py"))
+    }
+    found = unreferenced_private_functions(trees)
+    assert not found, "private functions without a caller in src/:\n" + "\n".join(found)

@@ -177,6 +177,23 @@ def test_memo_conflict_guard():
         e._memo_write(b"key", DELTA)
 
 
+def test_corrupt_cache_lines_are_refused_by_line_number(tmp_path):
+    from skeinkit.errors import CacheCorruptionError
+
+    path = tmp_path / "poly.cache"
+    bad_lines = [
+        b"zz\t1*v^0*z^0",  # bad hex
+        b"abcd\tnot a poly",  # bad term
+        b"abcd",  # no polynomial
+        b"abcd\t1*v^4294967296*z^0",  # exponent out of range
+        b"ab\xff\t1*v^0*z^0",  # not ASCII
+    ]
+    for line in bad_lines:
+        path.write_bytes(b"ab\t1*v^0*z^0\n\n" + line + b"\n")
+        with pytest.raises(CacheCorruptionError, match=r"line 3: "):
+            SkeinEngine(cache_path=str(path))
+
+
 def test_cache_round_trip(tmp_path):
     path = tmp_path / "poly.cache"
     e1 = SkeinEngine(cache_path=str(path))
