@@ -14,6 +14,7 @@ from .errors import (
     CacheCorruptionError,
     DiagramError,
     ResourceLimitError,
+    SelfCheckError,
     SkeinKitError,
     ZeroPolynomialError,
 )
@@ -47,6 +48,7 @@ __all__ = [
     "LinkDiagram",
     "PUSHOFF_LINKING_SIGN",
     "ResourceLimitError",
+    "SelfCheckError",
     "SkeinEngine",
     "SkeinKitError",
     "TwistSite",

@@ -167,15 +167,16 @@ def _cmd_homfly(args) -> int:
             "the hecke engine accepts coherent braid-closure inputs only; "
             "doubled and PD inputs go through --engine skein"
         )
-    engine = SkeinEngine(
-        node_budget=args.nodes, wall_seconds=args.timeout, cache_path=_cache_path(args)
-    )
     rep = InvariantReport(desc, args.engine)
     skein_poly = hecke_poly = None
     if args.engine != "hecke":
+        # Only a run of the skein engine reads or writes the cache.
+        engine = SkeinEngine(
+            node_budget=args.nodes, wall_seconds=args.timeout, cache_path=_cache_path(args)
+        )
         skein_poly = _compute(SuiteConfig(engine=engine), rep, d)
-    if engine.cache_path:
-        engine.save_cache()
+        if engine.cache_path:
+            engine.save_cache()
     if rep.skipped:
         _emit([rep], args.out)
         return 1

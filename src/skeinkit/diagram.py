@@ -25,7 +25,18 @@ under-in) if s = -1.
 Inside a move, the private working form ``_WorkingDiagram`` (a crossing
 list with tombstones and arc -> port maps) merges arcs in place, so a
 chain of Reidemeister moves costs what the moves touch, not a rebuild per
-move.
+move.  The skein engine keeps one working form per node: it switches
+crossings in place and smooths each bad crossing on a copy
+(``_WorkingDiagram.smoothed``).
+
+``LinkDiagram(...)`` validates its input.  A diagram that the core derives
+from a valid one (a smoothing, a ``simplify`` result, a ``split_pieces``
+piece) is built by ``LinkDiagram._trusted``, which only builds the head
+map.  Its precondition is that the crossings are ``Crossing`` values with
+signs +1 or -1, and that every arc is the head of exactly one port and the
+tail of exactly one port; the moves keep that (switching keeps each arc's
+ends, and a splice gives each merged class one head and one tail or closes
+it into a loop).
 """
 
 from __future__ import annotations
@@ -43,7 +54,6 @@ __all__ = [
     "DiagramStats",
     "LinkDiagram",
     "from_braid_closure",
-    "smooth_and_simplify",
 ]
 
 OVER = 0
@@ -73,22 +83,25 @@ class _WorkingDiagram:
     """A crossing list that moves in place.
 
     The working form behind ``simplify``, ``smooth_crossing`` and the skein
-    engine's smoothings.  Deleted crossings leave ``None`` behind, so every
+    engine's nodes.  Deleted crossings leave ``None`` behind, so every
     live crossing keeps its position.  ``head`` and ``tail`` map each arc
     to the (crossing, role) port where it ends and where it starts.  The
     one move is ``splice``, which relabels only the crossings that carry a
-    merged arc; ``smooth`` and ``reduce`` are made of it.  Three rules keep
-    the results equal to a rebuild per move, and so keep the arc labels
-    that fix the skein basepoints:
+    merged arc; ``smoothed`` and ``reduce`` are made of it.  Three rules
+    keep the results equal to a rebuild per move, and so keep the arc
+    labels that fix the skein basepoints:
 
     * each move is the first R1 kink by crossing position, otherwise the
       first R2 bigon;
     * a merged arc class takes its smallest arc id;
     * loops are counted per move: a class left with no port closes a loop
       only in the move that merged it.
+
+    ``recheck`` holds the crossings that ``switch`` may have given a new
+    kink or bigon status, so that ``smoothed`` need not rescan the rest.
     """
 
-    __slots__ = ("cs", "head", "tail", "deleted")
+    __slots__ = ("cs", "head", "tail", "deleted", "recheck")
 
     def __init__(self, crossings):
         self.cs = list(crossings)
@@ -100,13 +113,14 @@ class _WorkingDiagram:
             tail[c.over_out] = (ci, OVER)
             tail[c.under_out] = (ci, UNDER)
         self.deleted = 0
+        self.recheck = set()
 
     def splice(self, dead, pairs) -> tuple:
         """Delete the crossings ``dead`` and merge the arcs of each pair.
 
-        The pairs must name every arc that loses a port and keeps the
-        other; arcs with both ports on ``dead`` just disappear.  Each
-        merged class takes its smallest arc id, and only the crossings
+        The one or two pairs must name every arc that loses a port and
+        keeps the other; arcs with both ports on ``dead`` just disappear.
+        Each merged class takes its smallest arc id, and only the crossings
         that carry one of its arcs are relabeled.  A class left with no
         port closes into a loop.  Returns (loops, touched crossings).
         """
@@ -116,26 +130,24 @@ class _WorkingDiagram:
             cs[ci] = None
             del head[over_in], head[under_in], tail[over_out], tail[under_out]
         self.deleted += len(dead)
-        classes = []  # disjoint arc sets, one per merged class (moves pass <= 2 pairs)
-        for pair in pairs:
-            members = set(pair)
-            apart = []
-            for other in classes:
-                if members.isdisjoint(other):
-                    apart.append(other)
-                else:
-                    members |= other
-            apart.append(members)
-            classes = apart
+        if len(pairs) == 2 and not set(pairs[0]).isdisjoint(pairs[1]):
+            pairs = (set(pairs[0]).union(pairs[1]),)
         loops = 0
         touched = []
-        for members in classes:
-            root = min(members)
-            ends = [head.pop(a) for a in members if a in head]
-            starts = [tail.pop(a) for a in members if a in tail]
+        for members in pairs:
+            ends = []
+            starts = []
+            for a in members:
+                port = head.pop(a, None)
+                if port is not None:
+                    ends.append(port)
+                port = tail.pop(a, None)
+                if port is not None:
+                    starts.append(port)
             if not ends and not starts:
                 loops += 1
                 continue
+            root = min(members)
             if len(ends) != 1 or len(starts) != 1:
                 raise DiagramError(f"arc {root} has {len(ends)} heads and {len(starts)} tails")
             ci, role = head[root] = ends[0]
@@ -153,20 +165,67 @@ class _WorkingDiagram:
             touched += (ci, cj)
         return loops, touched
 
-    def smooth(self, x: int) -> int:
-        """The oriented smoothing of crossing x; returns the loops it closes."""
+    def _around(self, touched) -> set:
+        """The touched crossings and the crossings whose over strand runs
+        into one of them: the crossings whose kink or bigon status a move
+        that touched them can change."""
+        cs, tail = self.cs, self.tail
+        near = set(touched)
+        for e in touched:
+            p, role = tail[cs[e].over_in]
+            if role == OVER:
+                near.add(p)
+        return near
+
+    def smooth(self, x: int) -> tuple:
+        """The oriented smoothing of crossing x; returns (loops, touched)."""
         c = self.cs[x]
-        return self.splice((x,), ((c.over_in, c.under_out), (c.under_in, c.over_out)))[0]
+        return self.splice((x,), ((c.over_in, c.under_out), (c.under_in, c.over_out)))
 
-    def reduce(self) -> int:
-        """Apply R1/R2 moves until none is left; returns the loops they close.
+    def switch(self, x: int) -> None:
+        """Switch crossing x in place: one crossing and its four ports.
 
-        The move is always the first kink by crossing position, otherwise
-        the first bigon, as a scan of the whole diagram would find.  After
-        a move only the touched crossings, and the crossings whose over
-        strand runs into one of them, can change their kink or bigon status.
+        A switch keeps every kink a kink (it swaps the two conditions of
+        one), and it can change bigon status only at x and at the crossings
+        whose strands run into x; ``recheck`` collects those.
         """
         cs, head, tail = self.cs, self.head, self.tail
+        c = cs[x] = cs[x].switched()
+        head[c.over_in] = (x, OVER)
+        head[c.under_in] = (x, UNDER)
+        tail[c.over_out] = (x, OVER)
+        tail[c.under_out] = (x, UNDER)
+        self.recheck.update((x, tail[c.over_in][0], tail[c.under_in][0]))
+
+    def smoothed(self, x: int) -> tuple:
+        """Smooth crossing x and reduce, on a copy: (diagram, removed loops).
+
+        Precondition: this form was built from a reduced diagram (no kink,
+        no bigon) and changed only by ``switch``.  Then the crossings in
+        ``recheck``, the crossings the smoothing touched and their
+        over-predecessors are the only ones that can be a kink or a bigon,
+        so ``reduce`` starts from them and makes the same moves as after a
+        scan of the whole diagram.  This form is left as it was.
+        """
+        w = _WorkingDiagram.__new__(_WorkingDiagram)
+        w.cs = self.cs[:]
+        w.head = self.head.copy()
+        w.tail = self.tail.copy()
+        w.deleted = self.deleted
+        loops, touched = w.smooth(x)
+        loops += w.reduce(w._around(touched) | self.recheck)
+        return LinkDiagram._trusted(w.crossings()), loops
+
+    def reduce(self, seed) -> int:
+        """Apply R1/R2 moves until none is left; returns the loops they close.
+
+        ``seed`` must hold every crossing that is a kink or a bigon now.
+        The move is always the first kink by crossing position, otherwise
+        the first bigon, as a scan of the whole diagram would find.  After
+        a move only the crossings ``_around`` the touched ones can change
+        their kink or bigon status.
+        """
+        cs, head = self.cs, self.head
         kinks = set()
         bigons = set()
 
@@ -190,7 +249,7 @@ class _WorkingDiagram:
                         continue
                 bigons.discard(ci)
 
-        classify(range(len(cs)))
+        classify(seed)
         loops = 0
         while kinks or bigons:
             if kinks:
@@ -215,12 +274,8 @@ class _WorkingDiagram:
                     pairs = ((c.over_in, d.over_out), (d.under_in, c.under_out))
             closed, touched = self.splice(dead, pairs)
             loops += closed
-            again = set(dead)
-            again.update(touched)
-            for e in touched:
-                p, role = tail[cs[e].over_in]
-                if role == OVER:
-                    again.add(p)
+            again = self._around(touched)
+            again.update(dead)
             classify(again)
         return loops
 
@@ -267,6 +322,24 @@ class LinkDiagram:
         self._head = head
         self._comps = None
         self._code = None
+
+    @classmethod
+    def _trusted(cls, crossings, free_loops: int = 0) -> "LinkDiagram":
+        """A diagram derived in the core from a valid one: only the head map
+        is built, with none of the checks (precondition in the module
+        docstring)."""
+        d = object.__new__(cls)
+        crossings = tuple(crossings)
+        head = {}
+        for ci, (over_in, _, under_in, _, _) in enumerate(crossings):
+            head[over_in] = (ci, OVER)
+            head[under_in] = (ci, UNDER)
+        d.crossings = crossings
+        d.free_loops = free_loops
+        d._head = head
+        d._comps = None
+        d._code = None
+        return d
 
     # -- elementary queries -------------------------------------------
 
@@ -382,8 +455,8 @@ class LinkDiagram:
         if not (0 <= x < len(self.crossings)):
             raise DiagramError(f"no crossing {x}")
         w = _WorkingDiagram(self.crossings)
-        loops = w.smooth(x)
-        return LinkDiagram(w.crossings(), self.free_loops + loops)
+        loops, _ = w.smooth(x)
+        return LinkDiagram._trusted(w.crossings(), self.free_loops + loops)
 
     def mirror(self) -> "LinkDiagram":
         return LinkDiagram([c.switched() for c in self.crossings], self.free_loops)
@@ -400,10 +473,10 @@ class LinkDiagram:
         first R2 bigon; the move order fixes the arc labels of the result.
         """
         w = _WorkingDiagram(self.crossings)
-        removed = self.free_loops + w.reduce()
+        removed = self.free_loops + w.reduce(range(len(w.cs)))
         if not (w.deleted or removed):
             return self, 0
-        return LinkDiagram(w.crossings()), removed
+        return LinkDiagram._trusted(w.crossings()), removed
 
     # -- split decomposition ---------------------------------------------
 
@@ -438,10 +511,10 @@ class LinkDiagram:
         for ci in range(n):
             groups.setdefault(find(ci), []).append(ci)
         if len(groups) == 1:
-            return [LinkDiagram(crossings)] if self.free_loops else [self]
+            return [LinkDiagram._trusted(crossings)] if self.free_loops else [self]
         # The piece order (by union-find root) is the skein engine's child order.
         return [
-            LinkDiagram([crossings[i] for i in members])
+            LinkDiagram._trusted([crossings[i] for i in members])
             for _, members in sorted(groups.items())
         ]
 
@@ -648,21 +721,6 @@ def _raise_first_fault(crossings) -> None:
             if arc in starts:
                 raise DiagramError(f"arc {arc} has two tails")
             starts.add(arc)
-
-
-def smooth_and_simplify(crossings, x: int) -> tuple:
-    """``LinkDiagram(crossings).smooth_crossing(x).simplify()`` in one pass.
-
-    ``crossings`` are those of a valid diagram without free loops, or such
-    a list with some crossings switched (switching keeps every arc's head
-    and tail).  The smoothing and every Reidemeister move after it splice
-    one working form; only the simplified result is built (and validated)
-    as a ``LinkDiagram``.  Returns (diagram, removed_loops).
-    """
-    w = _WorkingDiagram(crossings)
-    removed = w.smooth(x)
-    removed += w.reduce()
-    return LinkDiagram(w.crossings()), removed
 
 
 def from_braid_closure(b: BraidWord) -> LinkDiagram:

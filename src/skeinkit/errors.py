@@ -39,6 +39,11 @@ class ResourceLimitError(SkeinKitError):
     """An engine refused an input that would exceed its memory ceiling."""
 
 
+class SelfCheckError(SkeinKitError):
+    """A computed polynomial is zero or breaks the Morton bound or the
+    exponent parity of its diagram: an engine bug or a wrong cache entry."""
+
+
 class CacheCorruptionError(SkeinKitError):
     """A memo entry would be overwritten with a different value, or a
     disk-cache line does not parse."""

