@@ -96,12 +96,9 @@ class _WorkingDiagram:
     * a merged arc class takes its smallest arc id;
     * loops are counted per move: a class left with no port closes a loop
       only in the move that merged it.
-
-    ``recheck`` holds the crossings that ``switch`` may have given a new
-    kink or bigon status, so that ``smoothed`` need not rescan the rest.
     """
 
-    __slots__ = ("cs", "head", "tail", "deleted", "recheck")
+    __slots__ = ("cs", "head", "tail", "deleted")
 
     def __init__(self, crossings):
         self.cs = list(crossings)
@@ -113,7 +110,6 @@ class _WorkingDiagram:
             tail[c.over_out] = (ci, OVER)
             tail[c.under_out] = (ci, UNDER)
         self.deleted = 0
-        self.recheck = set()
 
     def splice(self, dead, pairs) -> tuple:
         """Delete the crossings ``dead`` and merge the arcs of each pair.
@@ -182,12 +178,12 @@ class _WorkingDiagram:
         c = self.cs[x]
         return self.splice((x,), ((c.over_in, c.under_out), (c.under_in, c.over_out)))
 
-    def switch(self, x: int) -> None:
+    def switch(self, x: int) -> tuple:
         """Switch crossing x in place: one crossing and its four ports.
 
         A switch keeps every kink a kink (it swaps the two conditions of
         one), and it can change bigon status only at x and at the crossings
-        whose strands run into x; ``recheck`` collects those.
+        whose strands run into x.  Returns those crossings.
         """
         cs, head, tail = self.cs, self.head, self.tail
         c = cs[x] = cs[x].switched()
@@ -195,13 +191,14 @@ class _WorkingDiagram:
         head[c.under_in] = (x, UNDER)
         tail[c.over_out] = (x, OVER)
         tail[c.under_out] = (x, UNDER)
-        self.recheck.update((x, tail[c.over_in][0], tail[c.under_in][0]))
+        return x, tail[c.over_in][0], tail[c.under_in][0]
 
-    def smoothed(self, x: int) -> tuple:
+    def smoothed(self, x: int, recheck) -> tuple:
         """Smooth crossing x and reduce, on a copy: (diagram, removed loops).
 
         Precondition: this form was built from a reduced diagram (no kink,
-        no bigon) and changed only by ``switch``.  Then the crossings in
+        no bigon) and changed only by ``switch``, and ``recheck`` holds
+        every crossing those switches returned.  Then the crossings in
         ``recheck``, the crossings the smoothing touched and their
         over-predecessors are the only ones that can be a kink or a bigon,
         so ``reduce`` starts from them and makes the same moves as after a
@@ -213,7 +210,7 @@ class _WorkingDiagram:
         w.tail = self.tail.copy()
         w.deleted = self.deleted
         loops, touched = w.smooth(x)
-        loops += w.reduce(w._around(touched) | self.recheck)
+        loops += w.reduce(w._around(touched).union(recheck))
         return LinkDiagram._trusted(w.crossings()), loops
 
     def reduce(self, seed) -> int:

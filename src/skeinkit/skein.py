@@ -205,12 +205,13 @@ class SkeinEngine:
             prefix = ONE
             terms = []
             w = _WorkingDiagram(piece.crossings)
+            recheck = set()
             for x in bad:
-                exponent, children = _decompose(*w.smoothed(x), self._codes)
+                exponent, children = _decompose(*w.smoothed(x, recheck), self._codes)
                 smooth, switch = _POS if w.cs[x].sign > 0 else _NEG
                 terms.append((prefix * smooth, exponent, [c for c, _ in children]))
                 prefix = prefix * switch
-                w.switch(x)
+                recheck.update(w.switch(x))
                 for child in children:
                     if child[0] in memo:
                         self.memo_hits += 1

@@ -402,6 +402,15 @@ def assert_form_is(w, cs):
 @given(diagrams, st.data())
 @settings(max_examples=200, deadline=None)
 def test_smoothing_matches_sequential_oracle(d, data):
+    # smooth_crossing takes any diagram: switched, unreduced, with free loops
+    n = len(d.crossings)
+    if n:
+        flips = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+        x = data.draw(st.integers(0, n - 1))
+        d_switched = LinkDiagram(switched(d, flips), d.free_loops)
+        smoothed = d_switched.smooth_crossing(x)
+        want = oracle_smooth(d_switched, x)
+        assert (smoothed.crossings, smoothed.free_loops) == (want.crossings, want.free_loops)
     # One working form per reduced piece, as in a skein node: switch along a
     # random chain in place and smooth several crossings from the same form
     # at every step; each result is a copy and leaves the form unchanged.
@@ -410,6 +419,7 @@ def test_smoothing_matches_sequential_oracle(d, data):
     if not n:
         return
     w = _WorkingDiagram(core.crossings)
+    recheck = set()
     flips = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
     cs = list(core.crossings)
     for step in range(len(flips) + 1):
@@ -417,12 +427,12 @@ def test_smoothing_matches_sequential_oracle(d, data):
             smoothed = LinkDiagram(cs).smooth_crossing(x)
             want = oracle_smooth(LinkDiagram(cs), x)
             assert (smoothed.crossings, smoothed.free_loops) == (want.crossings, want.free_loops)
-            got, removed = w.smoothed(x)
+            got, removed = w.smoothed(x, recheck)
             want_core, want_removed = oracle_simplify(want)
             assert (got.crossings, got.free_loops, removed) == (want_core.crossings, 0, want_removed)
             assert_form_is(w, cs)
         if step < len(flips):
-            w.switch(flips[step])
+            recheck.update(w.switch(flips[step]))
             cs[flips[step]] = cs[flips[step]].switched()
     assert_form_is(w, switched(core, flips))
 
@@ -468,11 +478,12 @@ def test_multi_component_codes_match_oracle():
         assert d.component_count() >= 2
         # smooth along a switch chain on one working form, as a skein node does
         w = _WorkingDiagram(d.simplify()[0].crossings)
+        recheck = set()
         for x in range(0, len(w.cs), 3):
-            core, _ = w.smoothed(x)
+            core, _ = w.smoothed(x, recheck)
             for piece in core.split_pieces():
                 assert piece.canonical_code() == oracle_code(piece)
-            w.switch(x)
+            recheck.update(w.switch(x))
         assert d.canonical_code() == oracle_code(d)
 
 
