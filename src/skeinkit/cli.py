@@ -27,7 +27,7 @@ from collections import Counter
 
 from .braid import BraidWord
 from .diagram import LinkDiagram, from_braid_closure
-from .errors import SkeinKitError
+from .errors import DiagramError, SkeinKitError
 from .hecke import homfly_closed_braid
 from .jones import jones_via_bracket, specialize_homfly_to_jones
 from .report import FAIL, PASS, SKIP, InvariantReport, reports_to_csv, reports_to_json
@@ -60,6 +60,13 @@ def _add_budget_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", choices=["text", "json", "csv"], default="text")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="skeinkit", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -82,7 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="which suite to run",
     )
     p_v.add_argument(
-        "--r-max", type=int, default=2, help="largest r for the main suite (3: the 36-crossing run)"
+        "--r-max",
+        type=_positive_int,
+        default=2,
+        help="largest r for the main suite, at least 1 (3: the 36-crossing run)",
     )
     p_v.add_argument("--strict", action="store_true", help="budget skips fail the run")
     _add_budget_options(p_v)
@@ -132,20 +142,25 @@ def _construct(args) -> tuple:
         raise UsageError("--double and --whitehead are mutually exclusive")
     if args.twists_to is not None and not (args.double or args.whitehead):
         raise UsageError("--twists-to needs --double or --whitehead")
-    if args.whitehead:
-        m = args.twists_to if args.twists_to is not None else d.writhe()
-        sign = 1 if args.whitehead == "+" else -1
-        d = canonical_whitehead(d, m, sign)
-        desc = f"whitehead({args.whitehead}, m={m}, {desc})"
-        word = None
-    elif args.double:
-        if args.twists_to is not None:
-            d = canonical_double(d, args.twists_to)
-            desc = f"double(m={args.twists_to}, {desc})"
-        else:
-            d = blackboard_double(d)
-            desc = f"double({desc})"
-        word = None
+    try:
+        if args.whitehead:
+            m = args.twists_to if args.twists_to is not None else d.writhe()
+            sign = 1 if args.whitehead == "+" else -1
+            d = canonical_whitehead(d, m, sign)
+            desc = f"whitehead({args.whitehead}, m={m}, {desc})"
+            word = None
+        elif args.double:
+            if args.twists_to is not None:
+                d = canonical_double(d, args.twists_to)
+                desc = f"double(m={args.twists_to}, {desc})"
+            else:
+                d = blackboard_double(d)
+                desc = f"double({desc})"
+            word = None
+    except DiagramError as exc:
+        # A constructor that refuses its input (a link where it needs a
+        # knot) is a usage error, not a failed check.
+        raise UsageError(str(exc)) from exc
     return d, desc, word
 
 

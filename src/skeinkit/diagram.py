@@ -98,7 +98,7 @@ class _WorkingDiagram:
       only in the move that merged it.
     """
 
-    __slots__ = ("cs", "head", "tail", "deleted")
+    __slots__ = ("cs", "head", "tail")
 
     def __init__(self, crossings):
         self.cs = list(crossings)
@@ -109,7 +109,6 @@ class _WorkingDiagram:
             head[c.under_in] = (ci, UNDER)
             tail[c.over_out] = (ci, OVER)
             tail[c.under_out] = (ci, UNDER)
-        self.deleted = 0
 
     def splice(self, dead, pairs) -> tuple:
         """Delete the crossings ``dead`` and merge the arcs of each pair.
@@ -125,7 +124,6 @@ class _WorkingDiagram:
             over_in, over_out, under_in, under_out, _ = cs[ci]
             cs[ci] = None
             del head[over_in], head[under_in], tail[over_out], tail[under_out]
-        self.deleted += len(dead)
         if len(pairs) == 2 and not set(pairs[0]).isdisjoint(pairs[1]):
             pairs = (set(pairs[0]).union(pairs[1]),)
         loops = 0
@@ -208,7 +206,6 @@ class _WorkingDiagram:
         w.cs = self.cs[:]
         w.head = self.head.copy()
         w.tail = self.tail.copy()
-        w.deleted = self.deleted
         loops, touched = w.smooth(x)
         loops += w.reduce(w._around(touched).union(recheck))
         return LinkDiagram._trusted(w.crossings()), loops
@@ -292,7 +289,7 @@ class DiagramStats(NamedTuple):
 class LinkDiagram:
     """An oriented link diagram; immutable after construction."""
 
-    __slots__ = ("crossings", "free_loops", "_head", "_comps", "_code")
+    __slots__ = ("crossings", "free_loops", "_head", "_comps")
 
     def __init__(self, crossings=(), free_loops: int = 0):
         crossings = tuple(
@@ -318,7 +315,6 @@ class LinkDiagram:
         self.free_loops = free_loops
         self._head = head
         self._comps = None
-        self._code = None
 
     @classmethod
     def _trusted(cls, crossings, free_loops: int = 0) -> "LinkDiagram":
@@ -335,7 +331,6 @@ class LinkDiagram:
         d.free_loops = free_loops
         d._head = head
         d._comps = None
-        d._code = None
         return d
 
     # -- elementary queries -------------------------------------------
@@ -471,7 +466,7 @@ class LinkDiagram:
         """
         w = _WorkingDiagram(self.crossings)
         removed = self.free_loops + w.reduce(range(len(w.cs)))
-        if not (w.deleted or removed):
+        if not removed and None not in w.cs:
             return self, 0
         return LinkDiagram._trusted(w.crossings()), removed
 
@@ -552,13 +547,9 @@ class LinkDiagram:
         level, or, while the prefix runs level with the best complete
         stream, greater than that stream.
         """
-        if self._code is not None:
-            return self._code
         comps = self._components()
         if not comps:
-            code = struct.pack(">III", self.free_loops, 0, 0)
-            self._code = code
-            return code
+            return struct.pack(">III", self.free_loops, 0, 0)
         if len(self.crossings) >= 16000:
             raise DiagramError("diagram too large to encode")
 
@@ -606,13 +597,12 @@ class LinkDiagram:
 
         def search(remaining, nxt, prefix):
             nonlocal best
+            # Every walk of a level is bounded by the best stream found so
+            # far, so a prefix never exceeds the best stream's prefix: it is
+            # level with it (and bounded by its rest) or already lower.
             bound = None
-            if best is not None:
-                level = best[: len(prefix)]
-                if prefix > level:
-                    return
-                if prefix == level:
-                    bound = best[len(prefix) :]
+            if best is not None and prefix == best[: len(prefix)]:
+                bound = best[len(prefix) :]
             if not remaining:
                 if best is None or prefix < best:
                     best = prefix
@@ -645,11 +635,9 @@ class LinkDiagram:
 
         search(comps, 0, ())
         tokens = best
-        code = struct.pack(
+        return struct.pack(
             ">III", self.free_loops, len(self.crossings), len(tokens)
         ) + struct.pack(f">{len(tokens)}H", *tokens)
-        self._code = code
-        return code
 
     # -- PD text form --------------------------------------------------
 
@@ -680,6 +668,8 @@ class LinkDiagram:
         leftover = _PD_L_RE.sub("", _PD_X_RE.sub("", inner))
         if re.sub(r"[\s,]", "", leftover):
             raise DiagramError(f"unrecognized tokens in PD text: {text!r}")
+        if not crossings and not loops:
+            raise DiagramError(f"PD text has no crossings and no loops: {text!r}")
         d = LinkDiagram(crossings, loops)
         # Planar iff every crossing-connected piece has F = c + 2 faces
         # (Euler, with 2c edges), where the faces are the orbits of "cross

@@ -11,7 +11,7 @@ Suites:
                  reference coefficient (v^-5 z^1) has two published candidate
                  values (+12/-12); either is accepted and the engine's
                  verdict is recorded.  ``borromean_diff`` is the one
-                 comparison with the table; the acceptance gate uses it too.
+                 comparison with the table.
 * ``family``     Whitehead-double degree formula max_z = 2c(K) over framing
                  windows and both clasp signs, with the doubled-link degree
                  and genus identities.
@@ -302,7 +302,12 @@ def suite_props(cfg: SuiteConfig) -> list:
                 for m in range(-5, 9)
                 for sign in (1, -1)
             }
-            rep.check(f"genus-equals-crossing-number[{name}]", {want}, set(genera.values()))
+            rep.check(
+                f"genus-equals-crossing-number[{name}]",
+                {want},
+                set(genera.values()),
+                f"{len(genera)} Whitehead diagrams compared",
+            )
 
     # combinatorial count series
     with _report(reports, "count-series(quasitoric closures r<=6)", "stats") as rep:
@@ -340,7 +345,7 @@ def suite_structural(cfg: SuiteConfig) -> list:
     label = "mirror-identity-failures"
     with _report(reports, "mirror-identity(100 random braids)", "skein") as rep:
         rng = random.Random(20260810)
-        failures = 0
+        total = failures = 0
         for _ in range(100):
             n = rng.randint(2, 4)
             letters = [rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(rng.randint(1, 10))]
@@ -349,12 +354,13 @@ def suite_structural(cfg: SuiteConfig) -> list:
             if values is None:
                 break
             p, pm = values
+            total += 1
             if pm != p.mirror_image():
                 failures += 1
             if d.component_count() % 2 == 1 and pm != p.substitute_v_inverse():
                 failures += 1
         else:
-            rep.check(label, 0, failures)
+            rep.check(label, 0, failures, f"{total} braids compared")
 
     label = "engine-agreement-mismatches"
     with _report(reports, "engine-agreement(exhaustive, length<=6, strands<=3)", "skein+hecke") as rep:
@@ -372,7 +378,7 @@ def suite_structural(cfg: SuiteConfig) -> list:
     label = "markov-invariance-failures"
     with _report(reports, "markov-invariance(50 random samples)", "skein") as rep:
         rng = random.Random(1729)
-        failures = 0
+        total = failures = 0
         for _ in range(50):
             n = rng.randint(2, 4)
             letters = [rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(rng.randint(1, 8))]
@@ -386,9 +392,10 @@ def suite_structural(cfg: SuiteConfig) -> list:
             if values is None:
                 break
             p, *others = values
+            total += 1
             failures += sum(1 for pm in others if pm != p)
         else:
-            rep.check(label, 0, failures)
+            rep.check(label, 0, failures, f"{total} samples compared")
 
     return reports
 

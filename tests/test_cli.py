@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -16,7 +17,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 # sha256 of every ``verify --suite all`` report with ``ms`` removed.  A change
 # to any report's content changes it; such a change is documented in
 # CHANGES.md together with the new digest.
-ALL_REPORTS_SHA256 = "885de4af6cb6acedeeff4a8b942dd2c13ac4dd7fd74d0b8176bc5f923934712d"
+ALL_REPORTS_SHA256 = "3c44b9a91586db7b8741c3d2c72f996226fea3bb8da14ca6e569507f73218d9b"
 
 
 def run(capsys, *argv):
@@ -76,9 +77,33 @@ def test_usage_errors(capsys):
     assert run(capsys, "homfly", "--braid", "nonsense")[0] == 2
     assert run(capsys, "homfly", "--braid", "2: 1", "--twists-to", "3")[0] == 2
     assert run(capsys, "homfly", "--braid", "2: 1", "--double", "--whitehead", "+")[0] == 2
-    with pytest.raises(SystemExit) as exc:
-        run(capsys, "verify", "--suite", "bogus")
-    assert exc.value.code == 2
+    for argv in (["--suite", "bogus"], ["--suite", "main", "--r-max", "0"], ["--r-max", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "verify", *argv)
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        (["--whitehead", "+"], "canonical_whitehead needs a knot diagram"),
+        (["--double", "--twists-to", "1"], "canonical_double needs a knot diagram"),
+    ],
+)
+def test_constructor_refusal_is_a_usage_error(capsys, argv, refusal):
+    code, out, err = run(capsys, "homfly", "--braid", "2: 1 -1", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {refusal}")
+
+
+def test_homfly_framed_double_with_jones_check(capsys):
+    code, out, _ = run(
+        capsys, "homfly", "--braid", "2: 1 1 1", "--double", "--twists-to", "1", "--check", "jones"
+    )
+    assert code == 0
+    assert "input: double(m=1, braid(2: 1 1 1))" in out
+    assert "[ok  ] jones-specialization-equals-bracket" in out
 
 
 def test_pd_input_round_trip(tmp_path, capsys):
@@ -100,6 +125,15 @@ def test_non_planar_pd_input_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "not planar" in err
+
+
+def test_empty_pd_input_exits_2(capsys, monkeypatch):
+    for text in ("PD[]\n", "PD[L(0)]\n"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, "stats", "--pd", "-")
+        assert code == 2
+        assert out == ""
+        assert "no crossings and no loops" in err
 
 
 def test_pd_sign_without_digit_exits_2(tmp_path, capsys):
@@ -161,18 +195,24 @@ def test_hecke_engine_leaves_the_cache_alone(tmp_path, capsys):
 
 
 def test_wrong_cache_value_exits_1_without_traceback(tmp_path, capsys):
-    # A line that parses but holds a wrong value (the trefoil as 0) fails the
-    # engine's self-check, which is a package error, not an assertion.
+    # A line that parses but holds a wrong value for the trefoil (zero, above
+    # the Morton bound, or with an odd exponent) fails the engine's
+    # self-check, which is a package error, not an assertion.
     from skeinkit.diagram import from_braid_closure
     from skeinkit.braid import BraidWord
 
     code = from_braid_closure(BraidWord(2, (1, 1, 1))).canonical_code()
     cache = tmp_path / "c.cache"
-    cache.write_text(f"{code.hex()}\t0\n")
-    status, out, err = run(capsys, "homfly", "--braid", "2: 1 1 1", "--cache", str(cache))
-    assert status == 1
-    assert out == ""
-    assert err == "error: engine produced the zero polynomial\n"
+    for value, error in [
+        ("0", "engine produced the zero polynomial"),
+        ("1*v^0*z^4", "Morton bound violated: max_z 4 > 2"),
+        ("1*v^1*z^0", "exponent parity violated at v^1 z^0 with 1 components"),
+    ]:
+        cache.write_text(f"{code.hex()}\t{value}\n")
+        status, out, err = run(capsys, "homfly", "--braid", "2: 1 1 1", "--cache", str(cache))
+        assert status == 1
+        assert out == ""
+        assert err == f"error: {error}\n"
 
 
 @pytest.mark.parametrize("line", ["zz\t1*v^0*z^0", "abcd\tnot a poly"])

@@ -181,6 +181,9 @@ def test_pd_round_trip():
         LinkDiagram.from_pd_text("X(1,2,3,4;+1)")
     with pytest.raises(DiagramError):
         LinkDiagram.from_pd_text("PD[Y(1,2,3,4;+1)]")
+    for empty in ("PD[]", "PD[L(0)]", "PD[ , ]"):
+        with pytest.raises(DiagramError, match="no crossings and no loops"):
+            LinkDiagram.from_pd_text(empty)
 
 
 NON_PLANAR_PD = "PD[X(1,3,2,4;+1), X(3,1,4,2;+1)]"
@@ -210,8 +213,10 @@ def test_pd_sign_needs_its_digit():
 
 
 def test_validation_rejects_bad_arcs():
-    with pytest.raises(DiagramError):
-        LinkDiagram([Crossing(1, 2, 1, 3, 1)])  # arc 1 has two heads
+    with pytest.raises(DiagramError, match="arc 1 has two heads"):
+        LinkDiagram([Crossing(1, 2, 1, 3, 1)])
+    with pytest.raises(DiagramError, match="arc 2 has two tails"):
+        LinkDiagram([Crossing(1, 2, 3, 2, 1)])
     with pytest.raises(DiagramError):
         LinkDiagram([Crossing(1, 2, 3, 4, 1)])  # arcs dangle
     with pytest.raises(DiagramError):
