@@ -7,7 +7,7 @@ writhe, Morton bound, canonical genus), and a verification harness exposed
 through the ``skeinkit`` command-line tool.
 """
 
-from .braid import BraidWord, quasitoric_beta, toric, validate_quasitoric
+from .braid import BraidWord, quasitoric_beta, toric
 from .diagram import Crossing, DiagramStats, LinkDiagram, from_braid_closure
 from .errors import (
     BudgetExceededError,
@@ -23,7 +23,6 @@ from .jones import jones_via_bracket, specialize_homfly_to_jones
 from .laurent import DELTA, LaurentPoly1, LaurentPoly2, delta_power
 from .satellite import (
     PUSHOFF_LINKING_SIGN,
-    TwistSite,
     blackboard_double,
     build_K_A,
     canonical_double,
@@ -51,7 +50,6 @@ __all__ = [
     "SelfCheckError",
     "SkeinEngine",
     "SkeinKitError",
-    "TwistSite",
     "ZeroPolynomialError",
     "blackboard_double",
     "build_K_A",
@@ -66,5 +64,4 @@ __all__ = [
     "replace_crossing_with_half_twists",
     "specialize_homfly_to_jones",
     "toric",
-    "validate_quasitoric",
 ]

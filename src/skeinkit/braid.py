@@ -21,7 +21,6 @@ __all__ = [
     "BraidWord",
     "toric",
     "quasitoric_beta",
-    "validate_quasitoric",
 ]
 
 
@@ -122,16 +121,3 @@ def quasitoric_beta(r: int, top_sign: int = 1) -> BraidWord:
         raise ValueError("top_sign must be +1 or -1")
     block = tuple(top_sign * (-1) ** (i - 1) * (r + 1 - i) for i in range(1, r + 1))
     return BraidWord(r + 1, block * 3)
-
-
-def validate_quasitoric(b: BraidWord, r: int) -> bool:
-    """True iff b is a type-(r+1, 3) quasitoric word with a valid sign matrix.
-
-    Shape: three blocks of sigma_r, ..., sigma_1.  Signs constant along rows
-    (epsilon_ij * epsilon_ij+1 > 0) and alternating down columns
-    (epsilon_ij * epsilon_i+1j < 0) leave only the top sign free, so b is
-    valid iff it is ``quasitoric_beta`` for the sign of its first letter.
-    """
-    if r < 1 or b.strands != r + 1 or len(b.letters) != 3 * r:
-        return False
-    return b == quasitoric_beta(r, 1 if b.letters[0] > 0 else -1)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -55,8 +56,8 @@ def _add_input_options(p: argparse.ArgumentParser) -> None:
 
 def _add_budget_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cache", metavar="PATH", help="polynomial cache file")
-    p.add_argument("--nodes", type=int, default=10**8, help="skein node budget")
-    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS", help="wall budget")
+    p.add_argument("--nodes", type=_positive_int, default=10**8, help="skein node budget")
+    p.add_argument("--timeout", type=_positive_seconds, metavar="SECONDS", help="wall budget")
     p.add_argument("--out", choices=["text", "json", "csv"], default="text")
 
 
@@ -64,6 +65,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    value = float(text)
+    if not (0 < value < math.inf):
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text}")
     return value
 
 

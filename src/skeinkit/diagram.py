@@ -298,18 +298,24 @@ class LinkDiagram:
         if free_loops < 0:
             raise DiagramError("free_loops must be nonnegative")
         head = {}
-        tail = {}
+        tail = set()
         for ci, (over_in, over_out, under_in, under_out, sign) in enumerate(crossings):
             if sign not in (1, -1):
-                _raise_first_fault(crossings)
+                raise DiagramError(f"crossing {ci} has sign {sign!r}")
+            if over_in in head:
+                raise DiagramError(f"arc {over_in} has two heads")
             head[over_in] = (ci, OVER)
+            if under_in in head:
+                raise DiagramError(f"arc {under_in} has two heads")
             head[under_in] = (ci, UNDER)
-            tail[over_out] = (ci, OVER)
-            tail[under_out] = (ci, UNDER)
-        if len(head) + len(tail) != 4 * len(crossings):
-            _raise_first_fault(crossings)
-        if head.keys() != tail.keys():
-            bad = head.keys() ^ tail.keys()
+            if over_out in tail:
+                raise DiagramError(f"arc {over_out} has two tails")
+            tail.add(over_out)
+            if under_out in tail:
+                raise DiagramError(f"arc {under_out} has two tails")
+            tail.add(under_out)
+        if head.keys() != tail:
+            bad = head.keys() ^ tail
             raise DiagramError(f"arcs with a single endpoint: {sorted(bad)}")
         self.crossings = crossings
         self.free_loops = free_loops
@@ -692,22 +698,6 @@ class LinkDiagram:
                 f"PD code is not planar: {faces} faces for {len(crossings)} crossings"
             )
         return d
-
-
-def _raise_first_fault(crossings) -> None:
-    """Raise for the first bad sign, or arc at two heads or two tails."""
-    ends, starts = set(), set()
-    for ci, c in enumerate(crossings):
-        if c.sign not in (1, -1):
-            raise DiagramError(f"crossing {ci} has sign {c.sign!r}")
-        for arc in (c.over_in, c.under_in):
-            if arc in ends:
-                raise DiagramError(f"arc {arc} has two heads")
-            ends.add(arc)
-        for arc in (c.over_out, c.under_out):
-            if arc in starts:
-                raise DiagramError(f"arc {arc} has two tails")
-            starts.add(arc)
 
 
 def from_braid_closure(b: BraidWord) -> LinkDiagram:

@@ -39,15 +39,12 @@ free sign, that of the top-left entry; with every |n_ij| = 1 the closure is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .braid import BraidWord, quasitoric_beta
 from .diagram import Crossing, LinkDiagram, from_braid_closure
 from .errors import DiagramError
 
 __all__ = [
     "PUSHOFF_LINKING_SIGN",
-    "TwistSite",
     "blackboard_double",
     "canonical_double",
     "canonical_whitehead",
@@ -61,9 +58,13 @@ PUSHOFF_LINKING_SIGN = -1
 def _double_with_map(d: LinkDiagram):
     """Doubled crossings plus the arc map a -> (a0, a1).
 
-    a0 follows the original orientation, a1 is the reversed left push-off.
-    Internal tangle arcs i1..i4 follow the per-sign wiring derived from the
-    left push-off geometry (the overstrand ribbon stays on top throughout).
+    a0 follows the original orientation, a1 is the reversed left push-off;
+    the i-th arc of ``d.arcs()`` maps to (2i, 2i + 1).  The tangle of
+    crossing ci has the internal arcs i1..i4 = 2A + 4ci + (0, 1, 2, 3), where
+    A is the number of arcs of d.  They follow the per-sign wiring derived
+    from the left push-off geometry (the overstrand ribbon stays on top
+    throughout); i1 and i2 are the overstrand ribbon's forward and backward
+    arcs, where ``_banded`` puts the framing twists.
     """
     arcs = d.arcs()
     amap = {a: (2 * i, 2 * i + 1) for i, a in enumerate(arcs)}
@@ -100,66 +101,61 @@ def blackboard_double(d: LinkDiagram) -> LinkDiagram:
     return LinkDiagram(crossings, 2 * d.free_loops)
 
 
-def _full_twist_block(t: int):
-    """One full twist on the antiparallel band; both crossings carry sign t."""
+def _full_twist(sign, f_in, f_out, b_in, b_out, p, q):
+    """One full twist on the antiparallel band; both crossings carry ``sign``.
 
-    def build(f_in, f_out, b_in, b_out, fresh):
-        p1, q1 = fresh, fresh + 1
-        if t < 0:
-            cs = [
-                Crossing(q1, b_out, f_in, p1, -1),
-                Crossing(p1, f_out, b_in, q1, -1),
-            ]
-        else:
-            cs = [
-                Crossing(f_in, p1, q1, b_out, 1),
-                Crossing(b_in, q1, p1, f_out, 1),
-            ]
-        return cs, fresh + 2
-
-    return build
+    f_in -> f_out is the forward strand, b_in -> b_out the backward one, and
+    p, q are the block's two fresh internal arcs.
+    """
+    if sign < 0:
+        return [
+            Crossing(q, b_out, f_in, p, -1),
+            Crossing(p, f_out, b_in, q, -1),
+        ]
+    return [
+        Crossing(f_in, p, q, b_out, 1),
+        Crossing(b_in, q, p, f_out, 1),
+    ]
 
 
-def _clasp_block(clasp_sign: int):
-    """Two same-sign crossings hooking the band's folded-back fingers."""
-
-    def build(f_in, f_out, b_in, b_out, fresh):
-        a2, b2 = fresh, fresh + 1
-        if clasp_sign > 0:
-            cs = [
-                Crossing(b2, f_out, f_in, a2, 1),
-                Crossing(a2, b_out, b_in, b2, 1),
-            ]
-        else:
-            cs = [
-                Crossing(f_in, a2, b2, f_out, -1),
-                Crossing(b_in, b2, a2, b_out, -1),
-            ]
-        return cs, fresh + 2
-
-    return build
+def _clasp(sign, f_in, f_out, b_in, b_out, p, q):
+    """Two crossings of ``sign`` hooking the band's folded-back fingers."""
+    if sign > 0:
+        return [
+            Crossing(q, f_out, f_in, p, 1),
+            Crossing(p, b_out, b_in, q, 1),
+        ]
+    return [
+        Crossing(f_in, p, q, f_out, -1),
+        Crossing(b_in, q, p, b_out, -1),
+    ]
 
 
-def _chain_blocks(blocks, f_entry, b_entry, fresh):
-    """Wire blocks left to right; the backward strand threads right to left.
+def _chain(blocks, f_entry, b_entry, fresh):
+    """Wire ``(block, sign)`` pairs along a band: the forward strand runs from
+    f_entry through the blocks left to right, the backward strand from
+    b_entry right to left.  Arcs fresh, fresh + 1, ... label the new arcs:
+    first the forward arc leaving each block, then the backward arc leaving
+    each block, then two internal arcs per block.
 
-    Returns (crossings, forward_exit_arc, backward_exit_arc, fresh).
+    Returns (crossings, forward_exit_arc, backward_exit_arc, fresh).  Passing
+    the exits as entries, ``_chain(blocks, n - 1, n, 0)`` for n blocks, closes
+    the band into a loop.
     """
     n = len(blocks)
     f = [f_entry] + [fresh + i for i in range(n)]
-    bo = [fresh + n + i for i in range(n)]
+    b = [fresh + n + i for i in range(n)] + [b_entry]
     fresh += 2 * n
     crossings = []
-    for i, block in enumerate(blocks):
-        b_in = bo[i + 1] if i + 1 < n else b_entry
-        cs, fresh = block(f[i], f[i + 1], b_in, bo[i], fresh)
-        crossings += cs
-    return crossings, f[n], bo[0], fresh
+    for i, (block, sign) in enumerate(blocks):
+        crossings += block(sign, f[i], f[i + 1], b[i + 1], b[i], fresh, fresh + 1)
+        fresh += 2
+    return crossings, f[n], b[0], fresh
 
 
 def _insert_into_band(crossings, a0, a1, blocks, fresh):
     """Cut the band (a0 forward, a1 backward) and splice the blocks in."""
-    chain, f_exit, b_exit, fresh = _chain_blocks(blocks, a0, a1, fresh)
+    chain, f_exit, b_exit, fresh = _chain(blocks, a0, a1, fresh)
     out = []
     for c in crossings:
         oi = f_exit if c.over_in == a0 else (b_exit if c.over_in == a1 else c.over_in)
@@ -168,39 +164,25 @@ def _insert_into_band(crossings, a0, a1, blocks, fresh):
     return out + chain, fresh
 
 
-def _closed_band(blocks):
-    """Blocks wired into a closed antiparallel band (crossing-free companion)."""
-    n = len(blocks)
-    f = list(range(n))
-    bo = list(range(n, 2 * n))
-    fresh = 2 * n
-    crossings = []
-    for i, block in enumerate(blocks):
-        cs, fresh = block(f[i - 1], f[i], bo[(i + 1) % n], bo[i], fresh)
-        crossings += cs
-    return LinkDiagram(crossings)
-
-
-def _twist_site(d: LinkDiagram, arc_count: int):
-    """Overstrand-ribbon arcs inside the tangle at the minimal arc's head."""
-    ci, _ = d.arc_head(min(d.arcs()))
-    i1 = 2 * arc_count + 4 * ci
-    return i1, i1 + 1
-
-
 def _banded(d: LinkDiagram, m: int, blocks: list, caller: str) -> LinkDiagram:
-    """The double of the knot diagram d with (m - w(D)) full twists at
-    ``_twist_site`` and then ``blocks`` in the band section of the minimal arc."""
+    """The double of the knot diagram d with (m - w(D)) full twists in the
+    overstrand ribbon at the minimal arc's head crossing, and then ``blocks``
+    in the band section of the minimal arc."""
     if d.component_count() != 1:
         raise DiagramError(f"{caller} needs a knot diagram (one component)")
     k = m - d.writhe()
-    twists = [_full_twist_block(-1 if k > 0 else 1)] * abs(k)
+    twists = [(_full_twist, -1 if k > 0 else 1)] * abs(k)
     if not d.crossings:
-        return _closed_band(twists + blocks) if twists or blocks else LinkDiagram((), 2)
+        blocks = twists + blocks
+        if not blocks:
+            return LinkDiagram((), 2)
+        crossings, _, _, _ = _chain(blocks, len(blocks) - 1, len(blocks), 0)
+        return LinkDiagram(crossings)
     crossings, amap, fresh = _double_with_map(d)
     if twists:
-        i1, i2 = _twist_site(d, len(amap))
-        crossings, fresh = _insert_into_band(crossings, i1, i2, twists, fresh)
+        ci, _ = d.arc_head(min(d.arcs()))
+        i1 = 2 * len(amap) + 4 * ci
+        crossings, fresh = _insert_into_band(crossings, i1, i1 + 1, twists, fresh)
     if blocks:
         a0, a1 = amap[min(d.arcs())]
         crossings, _ = _insert_into_band(crossings, a0, a1, blocks, fresh)
@@ -216,34 +198,27 @@ def canonical_whitehead(d: LinkDiagram, m: int, clasp_sign: int) -> LinkDiagram:
     """Canonical m-twisted Whitehead-double diagram with the given clasp sign."""
     if clasp_sign not in (1, -1):
         raise DiagramError("clasp_sign must be +1 or -1")
-    result = _banded(d, m, [_clasp_block(clasp_sign)], "canonical_whitehead")
+    result = _banded(d, m, [(_clasp, clasp_sign)], "canonical_whitehead")
     assert result.component_count() == 1
     return result
 
 
-@dataclass(frozen=True)
-class TwistSite:
-    """A crossing to replace by a stack of |replacement| same-sign half-twists."""
-
-    crossing: int
-    replacement: int
-
-
-def replace_crossing_with_half_twists(d: LinkDiagram, site: TwistSite) -> LinkDiagram:
-    """Replace a crossing by k stacked crossings of its sign on the same strands.
+def replace_crossing_with_half_twists(d: LinkDiagram, crossing: int, count: int) -> LinkDiagram:
+    """Replace crossing number ``crossing`` by k = |count| stacked crossings of
+    its sign on the same strands; ``count`` carries that sign.
 
     k odd preserves the strand connectivity (k = 1 is the identity); k even
     reconnects the strands, which is what full-twist replacement means.
     The crossing is assumed braid-like (both strands coherently oriented),
     which holds for every diagram the family generators feed in.
     """
-    if not (0 <= site.crossing < len(d.crossings)):
-        raise DiagramError(f"no crossing {site.crossing}")
-    c = d.crossings[site.crossing]
-    k = abs(site.replacement)
+    if not (0 <= crossing < len(d.crossings)):
+        raise DiagramError(f"no crossing {crossing}")
+    c = d.crossings[crossing]
+    k = abs(count)
     if k < 1:
         raise DiagramError("replacement count must be at least 1")
-    if (site.replacement > 0) != (c.sign > 0):
+    if (count > 0) != (c.sign > 0):
         raise DiagramError("replacement sign must match the crossing sign")
     if k == 1:
         return d
@@ -262,7 +237,7 @@ def replace_crossing_with_half_twists(d: LinkDiagram, site: TwistSite) -> LinkDi
             stack.append(Crossing(s1[j], s1[j + 1], s2[j], s2[j + 1], c.sign))
         else:
             stack.append(Crossing(s2[j], s2[j + 1], s1[j], s1[j + 1], c.sign))
-    rest = [x for i, x in enumerate(d.crossings) if i != site.crossing]
+    rest = [x for i, x in enumerate(d.crossings) if i != crossing]
     return LinkDiagram(rest + stack, d.free_loops)
 
 

@@ -44,7 +44,6 @@ from .jones import jones_via_bracket, specialize_homfly_to_jones
 from .laurent import LaurentPoly2
 from .report import InvariantReport
 from .satellite import (
-    TwistSite,
     blackboard_double,
     canonical_double,
     canonical_whitehead,
@@ -199,7 +198,7 @@ def suite_borromean(cfg: SuiteConfig) -> list:
 
 def _family_samples():
     trefoil = quasitoric_closure(1, 1)
-    torus25 = replace_crossing_with_half_twists(trefoil, TwistSite(0, 3))
+    torus25 = replace_crossing_with_half_twists(trefoil, 0, 3)
     return [("trefoil(quasitoric r=1)", trefoil), ("torus-2-5(trefoil+3half-twists)", torus25)]
 
 
@@ -243,24 +242,12 @@ def suite_family(cfg: SuiteConfig) -> list:
 
 
 def _beta2_knot_sample() -> tuple:
-    """An alternating knot derived from the 3-component quasitoric closure.
-
-    The closure itself is a link; full-twist replacements change the
-    component count, so candidates are filtered by the computed count
-    rather than any a-priori criterion.
-    """
-    base = quasitoric_closure(2, 1)
-    for first in range(base.crossing_count()):
-        sign1 = base.crossings[first].sign
-        d1 = replace_crossing_with_half_twists(base, TwistSite(first, 2 * sign1))
-        if d1.component_count() == 1:
-            return f"beta2-knot(full twist at {first})", d1
-        for second in range(first + 1, base.crossing_count()):
-            sign2 = d1.crossings[second].sign
-            d2 = replace_crossing_with_half_twists(d1, TwistSite(second, 2 * sign2))
-            if d2.component_count() == 1:
-                return f"beta2-knot(full twists at {first},{second})", d2
-    raise AssertionError("no knot sample found in the quasitoric r=2 family")
+    """An alternating knot derived from the 3-component quasitoric closure:
+    a full twist at crossing 0, then one at crossing 1 of the result."""
+    d = quasitoric_closure(2, 1)
+    for ci in (0, 1):
+        d = replace_crossing_with_half_twists(d, ci, 2 * d.crossings[ci].sign)
+    return "beta2-knot(full twists at 0,1)", d
 
 
 def suite_props(cfg: SuiteConfig) -> list:

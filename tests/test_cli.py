@@ -81,6 +81,13 @@ def test_usage_errors(capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "verify", *argv)
         assert exc.value.code == 2
+    budgets = [["--nodes", v] for v in ("0", "-5")]
+    budgets += [["--timeout", v] for v in ("0", "-1", "nan", "inf")]
+    for argv in budgets:
+        for command in (["verify", "--suite", "main"], ["homfly", "--braid", "2: 1 1 1"]):
+            with pytest.raises(SystemExit) as exc:
+                run(capsys, *command, *argv)
+            assert exc.value.code == 2
 
 
 @pytest.mark.parametrize(

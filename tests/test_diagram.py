@@ -217,10 +217,15 @@ def test_validation_rejects_bad_arcs():
         LinkDiagram([Crossing(1, 2, 1, 3, 1)])
     with pytest.raises(DiagramError, match="arc 2 has two tails"):
         LinkDiagram([Crossing(1, 2, 3, 2, 1)])
-    with pytest.raises(DiagramError):
-        LinkDiagram([Crossing(1, 2, 3, 4, 1)])  # arcs dangle
-    with pytest.raises(DiagramError):
-        LinkDiagram([Crossing(1, 2, 2, 1, 5)])  # bad sign
+    with pytest.raises(DiagramError, match=r"arcs with a single endpoint: \[1, 2, 3, 4\]"):
+        LinkDiagram([Crossing(1, 2, 3, 4, 1)])
+    with pytest.raises(DiagramError, match="crossing 0 has sign 5"):
+        LinkDiagram([Crossing(1, 2, 2, 1, 5)])
+    # faults are reported crossing by crossing: sign, then heads, then tails
+    with pytest.raises(DiagramError, match="crossing 0 has sign 5"):
+        LinkDiagram([Crossing(1, 1, 1, 1, 5)])
+    with pytest.raises(DiagramError, match="arc 1 has two heads"):
+        LinkDiagram([Crossing(1, 2, 1, 2, 1), Crossing(3, 4, 3, 4, 0)])
 
 
 def test_split_pieces():

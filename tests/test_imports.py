@@ -1,5 +1,6 @@
 """Every imported name in the package and the tests is used, and every private
-module-level function of the package has a caller in the package."""
+module-level function and private method of the package has a caller in the
+package."""
 
 import ast
 from pathlib import Path
@@ -41,13 +42,14 @@ def test_no_unused_imports():
 
 
 def unreferenced_private_functions(trees: dict) -> list:
-    """``module:line: name`` of each module-level ``_private`` function that no
-    module in ``trees`` (a dict of module name -> parsed tree) reads by name,
-    attribute or import."""
+    """``module:line: name`` of each ``_private`` module-level function or method
+    of a module-level class that no module in ``trees`` (a dict of module name
+    -> parsed tree) reads by name, attribute or import."""
     defined = {}
     used = set()
     for module, tree in trees.items():
-        for node in tree.body:
+        methods = [n for c in tree.body if isinstance(c, ast.ClassDef) for n in c.body]
+        for node in tree.body + methods:
             if not isinstance(node, ast.FunctionDef):
                 continue
             if node.name.startswith("_") and not node.name.startswith("__"):
@@ -67,11 +69,12 @@ def test_unreferenced_private_functions_are_caught():
         "a": ast.parse(
             "def _dead(): pass\ndef _called(): pass\ndef _imported(): pass\n"
             "def _attr(): pass\ndef __dunder__(): pass\ndef public(): _called()\n"
-            "class K:\n    def _method(self): pass\n"
+            "class K:\n    def _method(self): pass\n    def _used(self): pass\n"
+            "    def __init__(self): self._used()\n"
         ),
         "b": ast.parse("from a import _imported\nimport a\na._attr\n"),
     }
-    assert unreferenced_private_functions(trees) == ["a:1: _dead"]
+    assert unreferenced_private_functions(trees) == ["a:1: _dead", "a:8: _method"]
 
 
 def test_no_unreferenced_private_functions():

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,6 @@ from skeinkit.diagram import LinkDiagram, from_braid_closure
 from skeinkit.errors import DiagramError
 from skeinkit.satellite import (
     PUSHOFF_LINKING_SIGN,
-    TwistSite,
     blackboard_double,
     build_K_A,
     canonical_double,
@@ -123,24 +124,24 @@ def test_whitehead_of_round_unknot():
 
 
 def test_half_twist_replacement():
-    assert replace_crossing_with_half_twists(TREFOIL, TwistSite(0, 1)) == TREFOIL
-    t25 = replace_crossing_with_half_twists(TREFOIL, TwistSite(0, 3))
+    assert replace_crossing_with_half_twists(TREFOIL, 0, 1) == TREFOIL
+    t25 = replace_crossing_with_half_twists(TREFOIL, 0, 3)
     assert t25.crossing_count() == 5
     assert t25.component_count() == 1
     assert t25.writhe() == 5
 
     with pytest.raises(DiagramError):
-        replace_crossing_with_half_twists(TREFOIL, TwistSite(0, -3))
+        replace_crossing_with_half_twists(TREFOIL, 0, -3)
     with pytest.raises(DiagramError):
-        replace_crossing_with_half_twists(TREFOIL, TwistSite(9, 3))
+        replace_crossing_with_half_twists(TREFOIL, 9, 3)
     with pytest.raises(DiagramError):
-        replace_crossing_with_half_twists(TREFOIL, TwistSite(0, 0))
+        replace_crossing_with_half_twists(TREFOIL, 0, 0)
 
 
 def test_full_twist_replacement_changes_components():
     d = quasitoric_closure(2, 1)
     assert d.component_count() == 3
-    d2 = replace_crossing_with_half_twists(d, TwistSite(0, 2))
+    d2 = replace_crossing_with_half_twists(d, 0, 2)
     assert d2.crossing_count() == 7
     assert d2.component_count() == 2
 
@@ -162,3 +163,40 @@ def test_build_K_A():
         build_K_A([[1, 1, 1], [1, 1, 1]])
     with pytest.raises(DiagramError):
         build_K_A([])
+
+
+# sha256 of the constructors' exact output over small braid closures: the
+# crossing tuples and free loops, so also the arc labels that fix the skein
+# basepoints.  A change to any label changes it.
+CONSTRUCTION_SHA256 = "f3a4e572610a838caa9b13fcda53508ac563d1341e7b6a0308a6ca0ddf4fa5df"
+
+
+def closures(strands: int, max_letters: int):
+    gens = [g for k in range(1, strands) for g in (k, -k)]
+    for n in range(1, max_letters + 1):
+        for word in itertools.product(gens, repeat=n):
+            yield from_braid_closure(BraidWord(strands, word))
+
+
+def test_construction_digest():
+    """Knot closures of up to 5 letters on 2-3 strands and 4 letters on 4
+    strands, plus the round unknot, doubled and Whitehead-doubled for framing
+    targets w - 3..w + 3; and stacks of 2-4 half-twists at every crossing of
+    every closure of up to 4 letters on 3 strands."""
+    knots = [LinkDiagram((), 1)]
+    knots += [
+        d for s, n in ((2, 5), (3, 5), (4, 4)) for d in closures(s, n) if d.component_count() == 1
+    ]
+    outputs = []
+    for d in knots:
+        w = d.writhe()
+        outputs.append(blackboard_double(d))
+        for m in range(w - 3, w + 4):
+            outputs.append(canonical_double(d, m))
+            outputs += [canonical_whitehead(d, m, s) for s in (1, -1)]
+    for d in closures(3, 4):
+        for ci, c in enumerate(d.crossings):
+            outputs += [replace_crossing_with_half_twists(d, ci, c.sign * k) for k in (2, 3, 4)]
+    text = "\n".join(f"{tuple(map(tuple, d.crossings))} {d.free_loops}" for d in outputs)
+    assert (len(knots), len(outputs)) == (259, 9454)
+    assert hashlib.sha256(text.encode()).hexdigest() == CONSTRUCTION_SHA256
