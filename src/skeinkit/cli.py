@@ -25,6 +25,7 @@ import math
 import os
 import sys
 from collections import Counter
+from pathlib import Path
 
 from .braid import BraidWord
 from .diagram import LinkDiagram, from_braid_closure
@@ -134,9 +135,7 @@ def _base_diagram(args) -> tuple:
             word = BraidWord.parse_text(args.braid)
             return from_braid_closure(word), f"braid({args.braid.strip()})", word
         if args.pd:
-            text = (
-                sys.stdin.read() if args.pd == "-" else open(args.pd, "r", encoding="utf-8").read()
-            )
+            text = sys.stdin.read() if args.pd == "-" else Path(args.pd).read_text("utf-8")
             return LinkDiagram.from_pd_text(text), f"pd({args.pd})", None
         matrix = _read_matrix(args.k_a)
         return build_K_A(matrix), f"k-a({args.k_a})", None
@@ -262,8 +261,8 @@ def _cmd_cache(args) -> int:
     path = _cache_path(args)
     if not path:
         raise UsageError(f"no cache path given (set --cache or {CACHE_ENV})")
+    size = os.path.getsize(path)  # a missing file exits 2, and nothing is created
     engine = SkeinEngine(cache_path=path)
-    size = os.path.getsize(path) if os.path.exists(path) else 0
     print(f"cache {path}: {len(engine.memo)} entries, {size} bytes")
     if args.action == "compact":
         written = engine.save_cache(path)

@@ -395,13 +395,10 @@ class LinkDiagram:
         return tuple(orbits)
 
     def _components(self) -> tuple:
+        """Arc components (free loops excluded), cached; ``_orbits`` order."""
         if self._comps is None:
             self._comps = self._orbits(1, 3)
         return self._comps
-
-    def components(self) -> list:
-        """Arc components ordered by their minimal arc id (free loops excluded)."""
-        return [list(comp) for comp in self._components()]
 
     def component_count(self) -> int:
         return len(self._components()) + self.free_loops
@@ -419,8 +416,8 @@ class LinkDiagram:
     def linking_number(self, i: int, j: int) -> Fraction:
         """Half the signed count of crossings between arc components i and j.
 
-        Components are indexed by position in ``components()`` (sorted by
-        minimal arc id).  Free loops never cross anything.
+        Arc components are indexed in order of their minimal arc id.  Free
+        loops never cross anything.
         """
         comps = self._components()
         if i == j:
@@ -479,42 +476,40 @@ class LinkDiagram:
     # -- split decomposition ---------------------------------------------
 
     def split_pieces(self) -> list:
-        """Connected sub-diagrams (by shared arcs); free loops are dropped.
+        """Crossing-connected sub-diagrams; free loops are dropped.
 
-        Two sub-diagrams with no arcs in common are split as links, so the
-        polynomial factorizes across the returned pieces.
+        Components that share a crossing belong to one piece.  Pieces share
+        no arcs, so they are split as links and the polynomial factorizes
+        across them.  Each piece keeps its crossings in diagram order, and
+        the pieces come in order of their first crossing: the skein
+        engine's child order.
         """
-        crossings = self.crossings
-        n = len(crossings)
-        if n == 0:
+        comps = self._components()
+        if len(comps) > 1:
+            crossings, head = self.crossings, self._head
+            owner = {a: k for k, comp in enumerate(comps) for a in comp}
+            piece_of = {}  # component -> index of its piece
+            pieces = []
+            for c in crossings:
+                k = owner[c.over_in]
+                if k not in piece_of:
+                    piece_of[k] = len(pieces)
+                    todo = [k]
+                    while todo:
+                        for a in comps[todo.pop()]:
+                            ci, role = head[a]
+                            d = crossings[ci]
+                            j = owner[d.under_in if role == OVER else d.over_in]
+                            if j not in piece_of:
+                                piece_of[j] = len(pieces)
+                                todo.append(j)
+                    pieces.append([])
+                pieces[piece_of[k]].append(c)
+            if len(pieces) > 1:
+                return [LinkDiagram._trusted(p) for p in pieces]
+        elif not comps:
             return []
-        parent = list(range(n))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        owner = {}
-        for ci, c in enumerate(crossings):
-            for arc in c[:4]:
-                if arc in owner:
-                    ra, rb = find(owner[arc]), find(ci)
-                    if ra != rb:
-                        parent[rb] = ra
-                else:
-                    owner[arc] = ci
-        groups = {}
-        for ci in range(n):
-            groups.setdefault(find(ci), []).append(ci)
-        if len(groups) == 1:
-            return [LinkDiagram._trusted(crossings)] if self.free_loops else [self]
-        # The piece order (by union-find root) is the skein engine's child order.
-        return [
-            LinkDiagram._trusted([crossings[i] for i in members])
-            for _, members in sorted(groups.items())
-        ]
+        return [LinkDiagram._trusted(self.crossings)] if self.free_loops else [self]
 
     # -- descending-diagram traversal -------------------------------------
 
@@ -704,32 +699,27 @@ def from_braid_closure(b: BraidWord) -> LinkDiagram:
     """Close a braid word with all strands coherently oriented.
 
     The diagram has one crossing per letter, carrying the letter's sign;
-    strands that no letter touches close into free loops.
+    strands that no letter touches close into free loops.  Each letter
+    gives its two new arcs fresh ids, except that the last letter on a
+    position gives its arc there the position's bottom id, which closes
+    the strand.
     """
     n = b.strands
+    last = {}  # position -> index of the last letter on it
+    for i, k in enumerate(b.letters):
+        last[abs(k) - 1] = last[abs(k)] = i
     current = list(range(n))
-    touched = [False] * n
     crossings = []
     fresh = n
-    for k in b.letters:
+    for i, k in enumerate(b.letters):
         p = abs(k) - 1
         left, right = current[p], current[p + 1]
-        new_left, new_right = fresh, fresh + 1
+        new_left = p if last[p] == i else fresh
+        new_right = p + 1 if last[p + 1] == i else fresh + 1
         fresh += 2
         if k > 0:
             crossings.append(Crossing(left, new_right, right, new_left, 1))
         else:
             crossings.append(Crossing(right, new_left, left, new_right, -1))
         current[p], current[p + 1] = new_left, new_right
-        touched[p] = touched[p + 1] = True
-    loops = sum(1 for p in range(n) if not touched[p])
-    # close each touched strand: its top arc takes the id of its bottom arc
-    top = {current[p]: p for p in range(n) if touched[p]}
-    crossings = [
-        c._replace(
-            over_out=top.get(c.over_out, c.over_out),
-            under_out=top.get(c.under_out, c.under_out),
-        )
-        for c in crossings
-    ]
-    return LinkDiagram(crossings, loops)
+    return LinkDiagram(crossings, n - len(last))

@@ -267,11 +267,6 @@ class LaurentPoly2(_SparseLaurent):
             raise ZeroPolynomialError("max_z_degree of the zero polynomial")
         return max(ez for _, ez in self._terms)
 
-    def min_z_degree(self) -> int:
-        if not self._terms:
-            raise ZeroPolynomialError("min_z_degree of the zero polynomial")
-        return min(ez for _, ez in self._terms)
-
     # -- substitutions ------------------------------------------------
 
     def substitute_v_inverse(self) -> "LaurentPoly2":
@@ -318,10 +313,6 @@ class LaurentPoly2(_SparseLaurent):
             {"v": ev, "z": ez, "c": str(self._terms[(ev, ez)])}
             for (ev, ez) in sorted(self._terms, key=lambda k: (k[1], k[0]))
         ]
-
-    @staticmethod
-    def from_json_terms(items) -> "LaurentPoly2":
-        return LaurentPoly2([((int(t["v"]), int(t["z"])), int(t["c"])) for t in items])
 
 
 ZERO = LaurentPoly2()

@@ -30,6 +30,13 @@ smoothing touched (with their over-predecessors), not from a scan of every
 crossing, and it makes the same moves in the same order: the arc labels, the
 children and the node counts are those of a full scan.
 
+The pieces of a diagram come in order of their first crossing, each with
+its crossings in diagram order (``LinkDiagram.split_pieces``), and become
+children in that order.  Pieces with one canonical code share one memo
+entry, but only the copy that is expanded first is walked: its arc labels
+fix the basepoints, the bad crossings and the smoothings below it.  So the
+piece order fixes the node and memo-hit counts, though not the polynomial.
+
 Results are memoized on the canonical code of each simplified piece, and the
 memo can persist to a disk cache between runs (line format: ``code-hex TAB
 canonical-polynomial-text``).  The same labelled piece recurs among the
@@ -222,8 +229,10 @@ class SkeinEngine:
 
 def _decompose(core: LinkDiagram, removed: int, codes: dict):
     """Split a simplified diagram that shed ``removed`` loops:
-    P = delta^exponent * product of piece values.  ``codes`` is the engine's
-    crossings -> canonical code table (module docstring)."""
+    P = delta^exponent * product of piece values.  The pieces keep the
+    ``split_pieces`` order, first crossing first; it decides which labelled
+    copy of a repeated code is expanded, and so the node counts (module
+    docstring).  ``codes`` is the engine's crossings -> canonical code table."""
     pieces = core.split_pieces()
     if pieces:
         exponent = removed + len(pieces) - 1

@@ -161,7 +161,7 @@ def borromean_diff(p: LaurentPoly2) -> dict:
         got_row = got_rows.get(ez, {})
         note = ""
         if ez == AMBIGUOUS_ENTRY[1]:
-            got_entry = got_row.get(AMBIGUOUS_ENTRY[0], 0)
+            got_entry = p.coefficient(*AMBIGUOUS_ENTRY)
             if got_entry in (12, -12):
                 note = (
                     f"coefficient v^{AMBIGUOUS_ENTRY[0]}*z^{AMBIGUOUS_ENTRY[1]}: engine value "

@@ -356,6 +356,16 @@ def test_cache_inspect_and_compact(tmp_path, capsys):
     assert "rewrote" in out
 
 
+def test_cache_commands_refuse_a_missing_file(tmp_path, capsys):
+    # verify and homfly start a missing cache; inspect and compact need one
+    cache = tmp_path / "missing.cache"
+    for action in ("inspect", "compact"):
+        code, out, err = run(capsys, "cache", action, "--cache", str(cache))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "missing.cache" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cache_requires_path(capsys, monkeypatch):
     monkeypatch.delenv("SKEINKIT_CACHE", raising=False)
     assert run(capsys, "cache", "inspect")[0] == 2

@@ -8,6 +8,7 @@ from skeinkit.braid import BraidWord, quasitoric_beta
 from skeinkit.diagram import OVER, Crossing, LinkDiagram, _WorkingDiagram, from_braid_closure
 from skeinkit.errors import DiagramError
 from skeinkit.satellite import blackboard_double, build_K_A, canonical_double, canonical_whitehead
+from skeinkit.suites import _exhaustive_words
 
 
 def closure(letters, strands=None):
@@ -245,7 +246,66 @@ def test_split_pieces():
 # every R1/R2 move and every smoothing rebuilds the whole diagram through a
 # union-find over the merged arcs, and the canonical code walks every start
 # to its end.  The fast core must agree with them exactly, because the arc
-# labels it leaves fix the skein basepoints, and so the memo DAG.
+# labels it leaves fix the skein basepoints, and so the memo DAG.  The
+# same holds for the split into pieces, whose order fixes the skein
+# engine's child order, and for the arc ids of a braid closure.
+
+
+def oracle_split(d):
+    """The pieces by a union-find over the crossings that share an arc, in
+    order of their union-find roots."""
+    crossings = d.crossings
+    parent = list(range(len(crossings)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    owner = {}
+    for ci, c in enumerate(crossings):
+        for arc in c[:4]:
+            if arc in owner:
+                ra, rb = find(owner[arc]), find(ci)
+                if ra != rb:
+                    parent[rb] = ra
+            else:
+                owner[arc] = ci
+    groups = {}
+    for ci in range(len(crossings)):
+        groups.setdefault(find(ci), []).append(crossings[ci])
+    return [tuple(members) for _, members in sorted(groups.items())]
+
+
+def oracle_closure(b):
+    """Every crossing with fresh arc ids, then a pass that gives each
+    strand's top arc the id of its bottom arc."""
+    n = b.strands
+    current = list(range(n))
+    touched = [False] * n
+    crossings = []
+    fresh = n
+    for k in b.letters:
+        p = abs(k) - 1
+        left, right = current[p], current[p + 1]
+        new_left, new_right = fresh, fresh + 1
+        fresh += 2
+        if k > 0:
+            crossings.append(Crossing(left, new_right, right, new_left, 1))
+        else:
+            crossings.append(Crossing(right, new_left, left, new_right, -1))
+        current[p], current[p + 1] = new_left, new_right
+        touched[p] = touched[p + 1] = True
+    top = {current[p]: p for p in range(n) if touched[p]}
+    crossings = [
+        c._replace(
+            over_out=top.get(c.over_out, c.over_out),
+            under_out=top.get(c.under_out, c.under_out),
+        )
+        for c in crossings
+    ]
+    return LinkDiagram(crossings, touched.count(False))
 
 
 def oracle_rebuild(crossings, merges):
@@ -307,7 +367,7 @@ def oracle_simplify(d):
 
 def oracle_code(d):
     """The unpruned search: every walk runs to its end."""
-    comps = [tuple(c) for c in d.components()]
+    comps = list(d._components())
     if not comps:
         return struct.pack(">III", d.free_loops, 0, 0)
 
@@ -356,10 +416,14 @@ def oracle_code(d):
 
 
 @st.composite
-def closures(draw, max_strands=5, max_letters=12):
+def braids(draw, max_strands=5, max_letters=12):
     n = draw(st.integers(2, max_strands))
     letter = st.integers(1, n - 1).flatmap(lambda k: st.sampled_from([k, -k]))
-    return from_braid_closure(BraidWord(n, draw(st.lists(letter, max_size=max_letters))))
+    return BraidWord(n, draw(st.lists(letter, max_size=max_letters)))
+
+
+def closures(max_strands=5, max_letters=12):
+    return braids(max_strands, max_letters).map(from_braid_closure)
 
 
 def shifted(d, offset):
@@ -447,6 +511,28 @@ def test_smoothing_matches_sequential_oracle(d, data):
     assert_form_is(w, switched(core, flips))
 
 
+def assert_split_matches_oracle(d):
+    """The oracle's pieces, each in diagram order, ordered by first crossing."""
+    position = {c: i for i, c in enumerate(d.crossings)}
+    want = sorted(oracle_split(d), key=lambda piece: position[piece[0]])
+    pieces = d.split_pieces()
+    assert [p.crossings for p in pieces] == want
+    assert all(p.free_loops == 0 for p in pieces)
+
+
+@given(diagrams)
+@settings(max_examples=200, deadline=None)
+def test_split_pieces_match_union_find_oracle(d):
+    assert_split_matches_oracle(d)
+    # every smoothing result of a skein node's switch chain
+    core, _ = d.simplify()
+    w = _WorkingDiagram(core.crossings)
+    recheck = set()
+    for x in core.non_descending_crossings():
+        assert_split_matches_oracle(w.smoothed(x, recheck)[0])
+        recheck.update(w.switch(x))
+
+
 @given(diagrams, st.data())
 @settings(max_examples=200, deadline=None)
 def test_canonical_code_matches_unpruned_oracle(d, data):
@@ -495,6 +581,17 @@ def test_multi_component_codes_match_oracle():
                 assert piece.canonical_code() == oracle_code(piece)
             recheck.update(w.switch(x))
         assert d.canonical_code() == oracle_code(d)
+
+
+def test_closure_matches_relabel_oracle_on_exhaustive_words():
+    for b in _exhaustive_words():
+        assert from_braid_closure(b) == oracle_closure(b)
+
+
+@given(braids(max_strands=9, max_letters=20))
+@settings(max_examples=300, deadline=None)
+def test_closure_matches_relabel_oracle(b):
+    assert from_braid_closure(b) == oracle_closure(b)
 
 
 # -- planarity of the PD text form -------------------------------------------

@@ -240,7 +240,7 @@ def test_trusted_diagrams_equal_validated_ones(monkeypatch):
         ref = LinkDiagram(d.crossings, d.free_loops)
         assert d.crossings == ref.crossings
         assert d._head == ref._head
-        assert d.components() == ref.components()
+        assert d._components() == ref._components()
 
 
 def test_code_table_stays_under_its_cap(monkeypatch):
