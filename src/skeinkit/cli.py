@@ -32,10 +32,10 @@ from .diagram import LinkDiagram, from_braid_closure
 from .errors import DiagramError, SkeinKitError
 from .hecke import homfly_closed_braid
 from .jones import jones_via_bracket, specialize_homfly_to_jones
-from .report import FAIL, PASS, SKIP, InvariantReport, reports_to_csv, reports_to_json
+from .report import FAIL, PASS, SKIP, reports_to_csv, reports_to_json
 from .satellite import blackboard_double, build_K_A, canonical_double, canonical_whitehead
 from .skein import SkeinEngine
-from .suites import SUITES, SuiteConfig, _compute, _record, run_suites
+from .suites import SUITES, SuiteConfig, _record, _report, run_suites
 
 __all__ = ["main"]
 
@@ -114,7 +114,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cache_path(args) -> str | None:
-    return getattr(args, "cache", None) or os.environ.get(CACHE_ENV)
+    path = getattr(args, "cache", None) or os.environ.get(CACHE_ENV)
+    if path and os.path.isdir(path):
+        raise UsageError(f"cache path {path} is a directory")
+    return path
+
+
+def _skein_engine(args) -> SkeinEngine:
+    return SkeinEngine(
+        node_budget=args.nodes, wall_seconds=args.timeout, cache_path=_cache_path(args)
+    )
 
 
 def _read_matrix(path: str) -> list:
@@ -189,35 +198,28 @@ def _cmd_homfly(args) -> int:
             "the hecke engine accepts coherent braid-closure inputs only; "
             "doubled and PD inputs go through --engine skein"
         )
-    rep = InvariantReport(desc, args.engine)
-    skein_poly = hecke_poly = None
-    if args.engine != "hecke":
-        # Only a run of the skein engine reads or writes the cache.
-        engine = SkeinEngine(
-            node_budget=args.nodes, wall_seconds=args.timeout, cache_path=_cache_path(args)
-        )
-        skein_poly = _compute(SuiteConfig(engine=engine), rep, d)
-        if engine.cache_path:
-            engine.save_cache()
-    if rep.skipped:
-        _emit([rep], args.out)
-        return 1
-    if args.engine != "skein":
-        hecke_poly = homfly_closed_braid(word)
-    p = skein_poly if skein_poly is not None else hecke_poly
-    _record(rep, d, p)
-    if args.engine == "both":
-        rep.check("engines-agree", True, skein_poly == hecke_poly)
-    if args.check == "jones":
-        rep.check(
-            "jones-specialization-equals-bracket",
-            True,
-            specialize_homfly_to_jones(p) == jones_via_bracket(d),
-        )
-    _emit([rep], args.out)
+    # Only a run of the skein engine reads or writes the cache.
+    engine = _skein_engine(args) if args.engine != "hecke" else None
+    reports = []
+    skein_poly = None
+    with _report(reports, desc, args.engine) as rep:
+        # The oracles run first, so that an error of theirs costs no skein work.
+        hecke_poly = homfly_closed_braid(word) if args.engine != "skein" else None
+        bracket = jones_via_bracket(d) if args.check == "jones" else None
+        skein_poly = engine.homfly(d) if engine else None
+        p = skein_poly if engine else hecke_poly
+        _record(rep, d, p)
+        if args.engine == "both":
+            rep.check("engines-agree", True, skein_poly == hecke_poly)
+        if bracket is not None:
+            jones = specialize_homfly_to_jones(p)
+            rep.check("jones-specialization-equals-bracket", True, jones == bracket)
+    if engine and engine.cache_path:
+        engine.save_cache()
+    _emit(reports, args.out)
     if args.out == "text" and args.engine == "both" and skein_poly == hecke_poly:
         print("engines agree")
-    return 1 if rep.failed else 0
+    return 1 if rep.failed or rep.skipped else 0
 
 
 def _cmd_stats(args) -> int:
@@ -238,9 +240,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    engine = SkeinEngine(
-        node_budget=args.nodes, wall_seconds=args.timeout, cache_path=_cache_path(args)
-    )
+    engine = _skein_engine(args)
     reports = run_suites([args.suite], SuiteConfig(engine=engine, r_max=args.r_max))
     if engine.cache_path:
         engine.save_cache()

@@ -40,7 +40,7 @@ class _SparseLaurent:
     dict is below ``2**31`` in absolute value) and ``__mul__``.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
         data = {}
@@ -55,14 +55,12 @@ class _SparseLaurent:
         if not self._in_range(data):
             raise OverflowError("exponent out of range: |e| >= 2**31")
         self._terms = data
-        self._hash = None
 
     @classmethod
     def _raw(cls, data: dict):
         """Wrap an already normalized term dict without copying it."""
         p = cls.__new__(cls)
         p._terms = data
-        p._hash = None
         return p
 
     @classmethod
@@ -94,13 +92,10 @@ class _SparseLaurent:
 
     def __hash__(self) -> int:
         # A constant equals its int, so it must hash as that int.
-        if self._hash is None:
-            terms = self._terms
-            if terms.keys() <= {self._CONST}:
-                self._hash = hash(terms.get(self._CONST, 0))
-            else:
-                self._hash = hash(frozenset(terms.items()))
-        return self._hash
+        terms = self._terms
+        if terms.keys() <= {self._CONST}:
+            return hash(terms.get(self._CONST, 0))
+        return hash(frozenset(terms.items()))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.format_text()!r})"
@@ -269,16 +264,12 @@ class LaurentPoly2(_SparseLaurent):
 
     # -- substitutions ------------------------------------------------
 
-    def substitute_v_inverse(self) -> "LaurentPoly2":
-        """Map every term (e_v, e_z, c) to (-e_v, e_z, c)."""
-        return self._raw({(-ev, ez): c for (ev, ez), c in self._terms.items()})
-
     def mirror_image(self) -> "LaurentPoly2":
         """The polynomial of the mirror link: (v, z) -> (v^-1, -z).
 
-        Agrees with ``substitute_v_inverse`` whenever every z-exponent is
-        even (all knots); for even-component links the rows of odd z-degree
-        change sign as well.
+        This is v -> v^-1 alone whenever every z-exponent is even (all
+        links with an odd number of components); for even-component links
+        the rows of odd z-degree change sign as well.
         """
         return self._raw(
             {(-ev, ez): (c if ez % 2 == 0 else -c) for (ev, ez), c in self._terms.items()}

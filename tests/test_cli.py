@@ -336,6 +336,39 @@ def test_verify_structural_budget_skips(capsys):
         assert rep["checks"][0]["note"] == "budget exhausted: skein node budget exhausted"
 
 
+@pytest.mark.parametrize("suite, count", [("main", 4), ("borromean", 1), ("family", 30)])
+def test_budget_skip_ends_each_computing_report(capsys, suite, count):
+    # With no mirror pair computed, main has no mirror-transform report.
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--nodes", "1", "--out", "json")
+    assert code == 0
+    reports = json.loads(out)
+    assert len(reports) == count
+    for rep in reports:
+        assert rep["polynomial"] is None
+        assert rep["checks"] == [
+            {
+                "id": "computation",
+                "expected": "",
+                "got": "",
+                "status": "SKIP",
+                "note": "budget exhausted: skein node budget exhausted",
+            }
+        ]
+
+
+def test_props_budget_skip_keeps_the_checks_before_it(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "props", "--nodes", "20", "--out", "json")
+    assert code == 0
+    rep = json.loads(out)[0]
+    assert rep["input"] == "degree-shift-identities(trefoil, m=0..5)"
+    assert [(c["id"].split("[")[0], c["status"]) for c in rep["checks"]] == [
+        ("double-degree-is-whitehead-minus-1", "PASS"),
+        ("double-degree-is-whitehead-minus-1", "PASS"),
+        ("double-degree-is-whitehead-minus-1", "PASS"),
+        ("computation", "SKIP"),
+    ]
+
+
 def test_aborted_computation_reports_no_polynomial(capsys):
     code, out, _ = run(
         capsys, "verify", "--suite", "borromean", "--nodes", "1", "--out", "json"
@@ -364,6 +397,21 @@ def test_cache_commands_refuse_a_missing_file(tmp_path, capsys):
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "missing.cache" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("source", ["option", "environment"])
+def test_cache_path_that_is_a_directory_exits_2(tmp_path, capsys, monkeypatch, source):
+    cache = tmp_path / "dir"
+    cache.mkdir()
+    option = ["--cache", str(cache)] if source == "option" else []
+    if source == "environment":
+        monkeypatch.setenv("SKEINKIT_CACHE", str(cache))
+    for argv in (["cache", "inspect"], ["homfly", "--braid", "2: 1 1 1"], ["verify", "--suite", "props"]):
+        code, out, err = run(capsys, *argv, *option)
+        assert (code, out) == (2, "")
+        assert err == f"error: cache path {cache} is a directory\n"
+    assert list(tmp_path.iterdir()) == [cache]
+    assert list(cache.iterdir()) == []
 
 
 def test_cache_requires_path(capsys, monkeypatch):

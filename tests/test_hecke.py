@@ -205,7 +205,7 @@ def test_mirror_identity():
         pm = homfly_closed_braid(b.mirror())
         assert pm == p.mirror_image()
         if b.closure_component_count() % 2 == 1:
-            assert pm == p.substitute_v_inverse()
+            assert pm == LaurentPoly2({(-ev, ez): c for (ev, ez), c in p.terms().items()})
 
 
 def test_quasitoric_series_degrees():

@@ -1,11 +1,21 @@
-"""Every imported name in the package and the tests is used, and every private
+"""Every imported name in the package and the tests is used, every private
 module-level function and private method of the package has a caller in the
-package."""
+package, and every public one is read outside the tests."""
 
 import ast
 from pathlib import Path
 
+from test_bench_hooks import hook_lists
+
 ROOT = Path(__file__).resolve().parent.parent
+
+# Public API that only the tests read, each kept on purpose.
+TEST_ONLY_API = {
+    "LinkDiagram.linking_number": "checks the doubling convention's framing",
+    "BraidWord.closure_component_count": "checks the closure's component count",
+    "LinkDiagram.to_pd_text": "checks the PD convention by a round trip",
+    "InvariantReport.content_key": "the determinism key named in the README",
+}
 
 
 def unused_imports(tree: ast.Module) -> list:
@@ -41,6 +51,29 @@ def test_no_unused_imports():
     assert not found, "unused imports:\n" + "\n".join(found)
 
 
+def defined_functions(tree: ast.Module) -> list:
+    """``(qualified name, line)`` of each module-level function and each method
+    of a module-level class."""
+    found = [(n.name, n.lineno) for n in tree.body if isinstance(n, ast.FunctionDef)]
+    for c in tree.body:
+        if isinstance(c, ast.ClassDef):
+            found += [(f"{c.name}.{n.name}", n.lineno) for n in c.body if isinstance(n, ast.FunctionDef)]
+    return found
+
+
+def names_read(tree: ast.Module) -> set:
+    """Every name ``tree`` reads by name, attribute or import."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
 def unreferenced_private_functions(trees: dict) -> list:
     """``module:line: name`` of each ``_private`` module-level function or method
     of a module-level class that no module in ``trees`` (a dict of module name
@@ -48,19 +81,11 @@ def unreferenced_private_functions(trees: dict) -> list:
     defined = {}
     used = set()
     for module, tree in trees.items():
-        methods = [n for c in tree.body if isinstance(c, ast.ClassDef) for n in c.body]
-        for node in tree.body + methods:
-            if not isinstance(node, ast.FunctionDef):
-                continue
-            if node.name.startswith("_") and not node.name.startswith("__"):
-                defined[node.name] = f"{module}:{node.lineno}"
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
+        for qualname, line in defined_functions(tree):
+            name = qualname.rpartition(".")[2]
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = f"{module}:{line}"
+        used |= names_read(tree)
     return sorted(f"{where}: {name}" for name, where in defined.items() if name not in used)
 
 
@@ -77,11 +102,51 @@ def test_unreferenced_private_functions_are_caught():
     assert unreferenced_private_functions(trees) == ["a:1: _dead", "a:8: _method"]
 
 
-def test_no_unreferenced_private_functions():
-    src = ROOT / "src"
-    trees = {
+def parse_folder(folder: str) -> dict:
+    """{path relative to the root: parsed tree} of every module under ``folder``."""
+    return {
         str(path.relative_to(ROOT)): ast.parse(path.read_text(), str(path))
-        for path in sorted(src.rglob("*.py"))
+        for path in sorted((ROOT / folder).rglob("*.py"))
     }
-    found = unreferenced_private_functions(trees)
+
+
+def test_no_unreferenced_private_functions():
+    found = unreferenced_private_functions(parse_folder("src"))
     assert not found, "private functions without a caller in src/:\n" + "\n".join(found)
+
+
+def unread_public_functions(defining: dict, reading: dict, extra_reads=frozenset()) -> list:
+    """``module:line: qualified name`` of each public module-level function or
+    method of a module-level class in ``defining`` whose name no tree in
+    ``reading`` reads by name, attribute or import, and that is not in
+    ``extra_reads``."""
+    used = set(extra_reads).union(*map(names_read, reading.values()))
+    found = []
+    for module, tree in defining.items():
+        for qualname, line in defined_functions(tree):
+            name = qualname.rpartition(".")[2]
+            if not name.startswith("_") and name not in used:
+                found.append(f"{module}:{line}: {qualname}")
+    return sorted(found)
+
+
+def test_unread_public_functions_are_caught():
+    defining = {
+        "a": ast.parse(
+            "def dead(): pass\ndef called(): pass\ndef hooked(): pass\ndef _private(): pass\n"
+            "class K:\n    def method(self): pass\n    def used(self): pass\n"
+            "    def __init__(self): pass\n"
+        )
+    }
+    reading = {**defining, "b": ast.parse("from a import called\nK().used()\n")}
+    assert unread_public_functions(defining, reading, {"hooked"}) == ["a:1: dead", "a:6: K.method"]
+
+
+def test_no_public_functions_read_only_by_tests():
+    package = parse_folder("src")
+    hooks = {path.rpartition(".")[2] for entries in hook_lists().values() for _, _, path, _ in entries}
+    found = unread_public_functions(package, {**package, **parse_folder("bench")}, hooks)
+    by_name = {line.rpartition(": ")[2]: line for line in found}
+    assert sorted(set(TEST_ONLY_API) - set(by_name)) == [], "exempt names that are read"
+    unread = [line for name, line in by_name.items() if name not in TEST_ONLY_API]
+    assert not unread, "public functions read only by tests:\n" + "\n".join(unread)
