@@ -13,9 +13,25 @@ a perfect matching of the frontier ends, stored as the tuple of partners in
 frontier order, and carries a bracket coefficient.  The next crossing is the
 one with the most of its arcs open, the lowest index on ties, so each split
 piece starts at its lowest crossing.  ``STATE_BUDGET`` caps the live states
-(boundary pairings) after each crossing.  Loop closures multiply by
-(-A^2 - A^-2); the final writhe correction is (-A^3)^{-w}; the Jones variable
-is a = t^(1/2) = A^-2, in which every exponent is integral.
+(boundary pairings) at all times: it is tested after each parent state's two
+children.  Loop closures multiply by (-A^2 - A^-2); the final writhe
+correction is (-A^3)^{-w}; the Jones variable is a = t^(1/2) = A^-2, in which
+every exponent is integral.
+
+Coefficient form.  After j crossings a state's coefficient is A^-j Q(B) with
+B = A^2, as all its exponents have the parity of j: a B-smoothing keeps Q,
+an A-smoothing multiplies it by B, and each closed loop by -(B + B^-1).  Q is
+kept as one int X = Q(2^S) 2^(S off), so a smoothing costs a shift, or one
+small multiply and an exact shift, and a merge one int add.  Exactness: let p
+bound the crossing-connected pieces (the components without free loops do).
+In any state of a piece with n_i crossings the circle-crossing graph is
+connected, so it has at most n_i + 1 circles.  No state closes more than
+n + p loops, Q's exponents never fall below -(n + p), and with off = n + p
+every right shift divides exactly.  Evaluation at 2^S is a ring homomorphism,
+so the size of an intermediate int does not matter; only the final Q must fit
+its slots.  Its coefficients are at most the sum over states of
+2^loops <= 2^(2n + p) in size, so S = 8 ceil((2n + p + 2) / 8) decodes it
+exactly in balanced base-2^S digits.
 
 Smoothing rules in port roles (the A-smoothing of a positive crossing is its
 oriented smoothing; mirror for negative):
@@ -31,16 +47,13 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .diagram import LinkDiagram
-from .errors import DiagramError, ResourceLimitError
+from .errors import DiagramError, ResourceLimitError, SelfCheckError
 from .laurent import LaurentPoly1, LaurentPoly2
 
 __all__ = ["jones_via_bracket", "specialize_homfly_to_jones"]
 
 
 _LOOP = LaurentPoly1({2: -1, -2: -1})  # -A^2 - A^-2
-# A^(+-1) * loop^k, indexed by the k <= 2 loops one smoothing closes
-_A = tuple(LaurentPoly1.monomial(1, 1) * _LOOP**k for k in range(3))
-_A_INV = tuple(LaurentPoly1.monomial(1, -1) * _LOOP**k for k in range(3))
 
 # Ceiling on the live boundary pairings of one contraction.
 STATE_BUDGET = 2_000_000
@@ -72,9 +85,13 @@ def jones_via_bracket(d: LinkDiagram) -> LaurentPoly1:
         (2 * c.over_in + 1, 2 * c.over_out, 2 * c.under_in + 1, 2 * c.under_out)
         for c in d.crossings
     ]
+    n, pieces = len(ends), d.component_count() - d.free_loops  # bounds the pieces
+    off, s = n + pieces, 8 * -(-(2 * n + pieces + 2) // 8)
+    ring = (1 << 2 * s) + 1
+    weight = (None, -ring, ring * ring)  # B^k (-(B + B^-1))^k at B = 2^S
     consumed = set()
     front = []  # frontier ends, in the order of a state's partners
-    states = {(): LaurentPoly1.monomial(1)}
+    states = {(): 1 << s * off}
 
     for ci in _narrow_order(ends):
         h_oi, h_oo, h_ui, h_uo = four = ends[ci]
@@ -92,10 +109,10 @@ def jones_via_bracket(d: LinkDiagram) -> LaurentPoly1:
         if d.crossings[ci].sign < 0:
             a_joins, b_joins = b_joins, a_joins
         new_states = {}
-        for state_key, coeff in states.items():
+        for state_key, x in states.items():
             base = dict(zip(front, state_key))
             base.update(opened)
-            for weights, joins in ((_A, a_joins), (_A_INV, b_joins)):
+            for lift, joins in ((1, a_joins), (0, b_joins)):
                 p = dict(base)
                 loops = 0
                 for e1, e2 in joins:
@@ -106,16 +123,27 @@ def jones_via_bracket(d: LinkDiagram) -> LaurentPoly1:
                     else:
                         p[m1] = m2
                         p[m2] = m1
-                value = coeff * weights[loops]
+                if loops:
+                    value = (x * weight[loops]) >> s * (loops - lift)
+                else:
+                    value = x << s if lift else x
                 k = key_of(p)
-                prev = new_states.get(k)
-                new_states[k] = value if prev is None else prev + value
+                new_states[k] = new_states.get(k, 0) + value
+            if len(new_states) > STATE_BUDGET:
+                raise ResourceLimitError("bracket state budget exhausted")
         states = new_states
         front = new_front
-        if len(states) > STATE_BUDGET:
-            raise ResourceLimitError("bracket state budget exhausted")
 
-    total = states[()] * _LOOP**d.free_loops
+    # balanced base-2^S digits of X; digit i is the coefficient of A^(2(i - off) - n)
+    x, e, terms = states[()], -2 * off - n, {}
+    mask, half = (1 << s) - 1, 1 << (s - 1)
+    while x:
+        c = ((x + half) & mask) - half
+        if c:
+            terms[e] = c
+        x = (x - c) >> s
+        e += 2
+    total = LaurentPoly1(terms) * _LOOP**d.free_loops
     bracket = total.exact_div(_LOOP)  # unknot normalizes to 1
 
     w = d.writhe()
@@ -123,7 +151,7 @@ def jones_via_bracket(d: LinkDiagram) -> LaurentPoly1:
     out = {}
     for e, coeff in corrected.terms().items():
         if e % 2:
-            raise AssertionError("writhe-corrected bracket has an odd exponent")
+            raise SelfCheckError("writhe-corrected bracket has an odd exponent")
         out[-e // 2] = coeff  # a = A^-2
     return LaurentPoly1(out)
 

@@ -10,6 +10,7 @@ import pytest
 
 from skeinkit import cli
 from skeinkit.cli import main
+from skeinkit.diagram import LinkDiagram
 from skeinkit.skein import SkeinEngine
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -111,6 +112,14 @@ def test_homfly_framed_double_with_jones_check(capsys):
     assert code == 0
     assert "input: double(m=1, braid(2: 1 1 1))" in out
     assert "[ok  ] jones-specialization-equals-bracket" in out
+
+
+def test_bracket_self_check_failure_is_an_error_exit(monkeypatch, capsys):
+    writhe = LinkDiagram.writhe
+    monkeypatch.setattr(LinkDiagram, "writhe", lambda self: writhe(self) + 1)
+    code, out, err = run(capsys, "homfly", "--braid", "2: 1 1 1", "--check", "jones")
+    assert code == 1
+    assert err == "error: writhe-corrected bracket has an odd exponent\n"
 
 
 def test_pd_input_round_trip(tmp_path, capsys):

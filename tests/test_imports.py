@@ -1,6 +1,7 @@
 """Every imported name in the package and the tests is used, every private
 module-level function and private method of the package has a caller in the
-package, and every public one is read outside the tests."""
+package, every public one is read outside the tests, and the three engines
+import none of each other."""
 
 import ast
 from pathlib import Path
@@ -150,3 +151,53 @@ def test_no_public_functions_read_only_by_tests():
     assert sorted(set(TEST_ONLY_API) - set(by_name)) == [], "exempt names that are read"
     unread = [line for name, line in by_name.items() if name not in TEST_ONLY_API]
     assert not unread, "public functions read only by tests:\n" + "\n".join(unread)
+
+
+# The engines' agreement is evidence only while they share no algebra: none
+# imports another, nor a layer built on top of them.
+ENGINES = ("skein", "hecke", "jones")
+ABOVE_ENGINES = ("satellite", "suites", "cli")
+
+
+def package_imports(tree: ast.Module) -> list:
+    """``(line, module)`` of each ``skeinkit`` module that ``tree`` imports,
+    absolutely or relatively, named by its first component in the package."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "skeinkit." + (node.module or "") if node.level else node.module
+            dotted = [f"{base.rstrip('.')}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in dotted:
+            parts = name.split(".")
+            if parts[0] == "skeinkit" and len(parts) > 1:
+                found.append((node.lineno, parts[1]))
+    return found
+
+
+def engine_cross_imports(trees: dict) -> list:
+    """``engine:line: module`` of each import by an engine in ``trees`` (a dict
+    of module name -> parsed tree) of another engine or a layer above them."""
+    found = []
+    for engine in ENGINES:
+        banned = set(ENGINES + ABOVE_ENGINES) - {engine}
+        found += [f"{engine}:{line}: {name}" for line, name in package_imports(trees[engine]) if name in banned]
+    return sorted(found)
+
+
+def test_engine_cross_imports_are_caught():
+    trees = {
+        "skein": ast.parse("from .hecke import x\nfrom .laurent import y\nfrom operator import itemgetter\n"),
+        "hecke": ast.parse("from . import cli, diagram\nimport skeinkit.jones\n"),
+        "jones": ast.parse("from skeinkit import satellite\nfrom skeinkit.errors import E\nimport jones, skeinkit\n"),
+    }
+    assert engine_cross_imports(trees) == ["hecke:1: cli", "hecke:2: jones", "jones:1: satellite", "skein:1: hecke"]
+
+
+def test_engines_share_no_algebra():
+    trees = {name: ast.parse((ROOT / "src" / "skeinkit" / f"{name}.py").read_text()) for name in ENGINES}
+    found = engine_cross_imports(trees)
+    assert not found, "engine imports of another engine or a layer above them:\n" + "\n".join(found)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from skeinkit import jones
 from skeinkit.braid import BraidWord, toric
 from skeinkit.diagram import Crossing, LinkDiagram, from_braid_closure
-from skeinkit.errors import DiagramError, ResourceLimitError, SkeinKitError
+from skeinkit.errors import DiagramError, ResourceLimitError, SelfCheckError, SkeinKitError
 from skeinkit.hecke import homfly_closed_braid
 from skeinkit.jones import jones_via_bracket, specialize_homfly_to_jones
 from skeinkit.laurent import DELTA, LaurentPoly1, LaurentPoly2
@@ -99,6 +99,26 @@ def test_bracket_state_budget(monkeypatch):
     monkeypatch.setattr(jones, "STATE_BUDGET", 10)
     with pytest.raises(ResourceLimitError, match="bracket state budget exhausted"):
         jones_via_bracket(from_braid_closure(toric(5, 6)))
+
+
+# The most live states that T(5,6)'s contraction holds after any crossing.
+T56_PEAK_STATES = 42
+
+
+def test_bracket_state_budget_caps_the_peak(monkeypatch):
+    d = from_braid_closure(toric(5, 6))
+    monkeypatch.setattr(jones, "STATE_BUDGET", T56_PEAK_STATES)
+    assert jones_via_bracket(d) == specialize_homfly_to_jones(homfly_closed_braid(toric(5, 6)))
+    monkeypatch.setattr(jones, "STATE_BUDGET", T56_PEAK_STATES - 1)
+    with pytest.raises(ResourceLimitError, match="bracket state budget exhausted"):
+        jones_via_bracket(d)
+
+
+def test_odd_bracket_exponent_is_a_self_check_error(monkeypatch):
+    writhe = LinkDiagram.writhe
+    monkeypatch.setattr(LinkDiagram, "writhe", lambda self: writhe(self) + 1)
+    with pytest.raises(SelfCheckError, match="writhe-corrected bracket has an odd exponent"):
+        jones_via_bracket(closure([1, 1, 1]))
 
 
 def test_bracket_of_t78_matches_hecke():
@@ -217,11 +237,13 @@ def whitehead_doubles(draw):
 def split_unions(draw):
     """Two closures side by side with extra free loops, crossings interleaved."""
     parts = [draw(closures(max_letters=8)), draw(closures(max_letters=8))]
-    crossings = [
-        Crossing(*(a + 1000 * i for a in c[:4]), c.sign) for i, d in enumerate(parts) for c in d.crossings
-    ]
     loops = sum(d.free_loops for d in parts) + draw(st.integers(0, 2))
-    return LinkDiagram(draw(st.permutations(crossings)), loops)
+    return LinkDiagram(draw(st.permutations(side_by_side(parts))), loops)
+
+
+def side_by_side(parts):
+    """The crossings of ``parts``, each part's arcs moved to their own range."""
+    return [Crossing(*(a + 1000 * i for a in c[:4]), c.sign) for i, d in enumerate(parts) for c in d.crossings]
 
 
 bracket_inputs = st.one_of(
@@ -233,3 +255,40 @@ bracket_inputs = st.one_of(
 @settings(max_examples=200, deadline=None)
 def test_bracket_matches_all_ends_oracle(d):
     assert jones_via_bracket(d) == oracle_bracket(d)
+
+
+# -- the loop bound --------------------------------------------------------
+#
+# A state of a piece with n_i crossings has at most n_i + 1 circles, and the
+# closure of s1 s2 ... sk reaches it: its oriented state has one circle per
+# strand.  With every letter negative that state is all B-smoothings, so it
+# puts the packed coefficients' lowest exponent at -(n + pieces), the least
+# the offset allows.
+
+
+def chain(signs):
+    """The closure of s1^e1 s2^e2 ... sk^ek on k + 1 strands (an unknot)."""
+    return closure([e * i for i, e in enumerate(signs, 1)], strands=len(signs) + 1)
+
+
+def chain_signs(k, rng):
+    """All positive, all negative, alternating and random signs of k letters."""
+    return [[1] * k, [-1] * k, [(-1) ** i for i in range(k)], [rng.choice((1, -1)) for _ in range(k)]]
+
+
+def test_bracket_at_the_loop_bound_on_chains():
+    rng = random.Random(13)
+    for k in range(1, 13):
+        for signs in chain_signs(k, rng):
+            d = chain(signs)
+            assert jones_via_bracket(d) == oracle_bracket(d) == 1, signs
+
+
+def test_bracket_at_the_loop_bound_on_split_unions():
+    rng = random.Random(17)
+    for _ in range(40):
+        parts = [chain(rng.choice(chain_signs(rng.randint(1, 8), rng))) for _ in range(rng.randint(2, 3))]
+        crossings = side_by_side(parts)
+        rng.shuffle(crossings)
+        d = LinkDiagram(crossings, rng.randint(0, 2))
+        assert jones_via_bracket(d) == oracle_bracket(d)
