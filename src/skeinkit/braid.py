@@ -72,9 +72,6 @@ class BraidWord:
                     t = perm[t]
         return count
 
-    def mirror(self) -> "BraidWord":
-        return BraidWord(self.strands, tuple(-k for k in self.letters))
-
     def conjugate_by(self, letter: int) -> "BraidWord":
         """sigma^-1 . word . sigma for the given signed letter."""
         return BraidWord(self.strands, (-letter, *self.letters, letter))

@@ -41,7 +41,8 @@ class ResourceLimitError(SkeinKitError):
 
 class SelfCheckError(SkeinKitError):
     """A computed polynomial is zero or breaks the Morton bound or the
-    exponent parity of its diagram: an engine bug or a wrong cache entry."""
+    exponent parity of its diagram, or a constructed diagram has the wrong
+    component count: an engine bug or a wrong cache entry."""
 
 
 class CacheCorruptionError(SkeinKitError):

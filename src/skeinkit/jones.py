@@ -22,16 +22,19 @@ Coefficient form.  After j crossings a state's coefficient is A^-j Q(B) with
 B = A^2, as all its exponents have the parity of j: a B-smoothing keeps Q,
 an A-smoothing multiplies it by B, and each closed loop by -(B + B^-1).  Q is
 kept as one int X = Q(2^S) 2^(S off), so a smoothing costs a shift, or one
-small multiply and an exact shift, and a merge one int add.  Exactness: let p
-bound the crossing-connected pieces (the components without free loops do).
-In any state of a piece with n_i crossings the circle-crossing graph is
+small multiply and an exact shift, and a merge one int add.  The f free loops
+close before the first crossing, so the first Q is (-(B + B^-1))^f.
+Exactness: the component count p bounds the crossing-connected pieces plus
+f.  In any state of a piece with n_i crossings the circle-crossing graph is
 connected, so it has at most n_i + 1 circles.  No state closes more than
 n + p loops, Q's exponents never fall below -(n + p), and with off = n + p
 every right shift divides exactly.  Evaluation at 2^S is a ring homomorphism,
-so the size of an intermediate int does not matter; only the final Q must fit
-its slots.  Its coefficients are at most the sum over states of
-2^loops <= 2^(2n + p) in size, so S = 8 ceil((2n + p + 2) / 8) decodes it
-exactly in balanced base-2^S digits.
+so the size of an intermediate int does not matter.  Every state closes a
+loop (the empty diagram is refused), so X divides exactly by 2^(2S) + 1 at
+the end: one loop less makes the unknot 1, and w's parity signs (-A^3)^-w.
+The coefficients left are at most the sum over states of 2^loops <= 2^(2n + p)
+in size, so S = 8 ceil((2n + p + 2) / 8) decodes them exactly in balanced
+base-2^S digits, straight into exponents of a.
 
 Smoothing rules in port roles (the A-smoothing of a positive crossing is its
 oriented smoothing; mirror for negative):
@@ -52,8 +55,6 @@ from .laurent import LaurentPoly1, LaurentPoly2
 
 __all__ = ["jones_via_bracket", "specialize_homfly_to_jones"]
 
-
-_LOOP = LaurentPoly1({2: -1, -2: -1})  # -A^2 - A^-2
 
 # Ceiling on the live boundary pairings of one contraction.
 STATE_BUDGET = 2_000_000
@@ -85,13 +86,13 @@ def jones_via_bracket(d: LinkDiagram) -> LaurentPoly1:
         (2 * c.over_in + 1, 2 * c.over_out, 2 * c.under_in + 1, 2 * c.under_out)
         for c in d.crossings
     ]
-    n, pieces = len(ends), d.component_count() - d.free_loops  # bounds the pieces
-    off, s = n + pieces, 8 * -(-(2 * n + pieces + 2) // 8)
+    n, comps = len(ends), d.component_count()  # p of the module docstring
+    off, s = n + comps, 8 * -(-(2 * n + comps + 2) // 8)
     ring = (1 << 2 * s) + 1
     weight = (None, -ring, ring * ring)  # B^k (-(B + B^-1))^k at B = 2^S
     consumed = set()
     front = []  # frontier ends, in the order of a state's partners
-    states = {(): 1 << s * off}
+    states = {(): (-ring) ** d.free_loops << s * (off - d.free_loops)}
 
     for ci in _narrow_order(ends):
         h_oi, h_oo, h_ui, h_uo = four = ends[ci]
@@ -134,26 +135,21 @@ def jones_via_bracket(d: LinkDiagram) -> LaurentPoly1:
         states = new_states
         front = new_front
 
-    # balanced base-2^S digits of X; digit i is the coefficient of A^(2(i - off) - n)
-    x, e, terms = states[()], -2 * off - n, {}
+    w = d.writhe()
+    x = states[()] // (ring if w % 2 else -ring)
+    e = 2 - 2 * off - n - 3 * w  # the A-exponent of digit 0
+    if e % 2:
+        raise SelfCheckError("writhe-corrected bracket has an odd exponent")
+    # balanced base-2^S digits of x; digit i is the coefficient of a^(-e/2 - i)
+    e, terms = -e // 2, {}
     mask, half = (1 << s) - 1, 1 << (s - 1)
     while x:
         c = ((x + half) & mask) - half
         if c:
             terms[e] = c
         x = (x - c) >> s
-        e += 2
-    total = LaurentPoly1(terms) * _LOOP**d.free_loops
-    bracket = total.exact_div(_LOOP)  # unknot normalizes to 1
-
-    w = d.writhe()
-    corrected = bracket * LaurentPoly1.monomial((-1) ** w, -3 * w)
-    out = {}
-    for e, coeff in corrected.terms().items():
-        if e % 2:
-            raise SelfCheckError("writhe-corrected bracket has an odd exponent")
-        out[-e // 2] = coeff  # a = A^-2
-    return LaurentPoly1(out)
+        e -= 1
+    return LaurentPoly1(terms)
 
 
 def specialize_homfly_to_jones(p: LaurentPoly2) -> LaurentPoly1:
@@ -172,7 +168,7 @@ def specialize_homfly_to_jones(p: LaurentPoly2) -> LaurentPoly1:
         rows.setdefault(ez, {})[2 * ev] = c
     k = max(0, -min(rows))
     num = LaurentPoly1()
-    power, at = LaurentPoly1.monomial(1), -k
+    power, at = LaurentPoly1({0: 1}), -k
     for ez in sorted(rows):
         power = power * u ** (ez - at)
         at = ez

@@ -6,8 +6,10 @@ the bracket oracle).  Both are immutable and hashable and share one sparse
 core: a dict mapping exponent keys to nonzero int coefficients, where a key
 is an int for one variable and a pair (e_v, e_z) for two.  The zero
 polynomial stores no terms, and two polynomials are equal iff their term
-dicts are equal.  Polynomials of the two types never mix: adding or
-multiplying one with the other raises ``TypeError``; ints mix with both.
+dicts are equal.  The operations are ``+``, ``*`` and ``**``, and
+``exact_div`` on ``LaurentPoly1``; there is no subtraction or negation.
+Polynomials of the two types never mix: adding or multiplying one with the
+other raises ``TypeError``; ints mix with both in ``+``, ``*`` and ``==``.
 
 Canonical text form of ``LaurentPoly2``: terms sorted by (e_z, e_v)
 ascending, each rendered ``c*v^a*z^b``, joined by `` + ``; the zero
@@ -117,21 +119,6 @@ class _SparseLaurent:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return self._raw({k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError(f"negative powers are not defined for {type(self).__name__}")
@@ -154,10 +141,6 @@ class LaurentPoly1(_SparseLaurent):
     @staticmethod
     def _in_range(data: dict) -> bool:
         return not data or (-_EXP_BOUND < min(data) and max(data) < _EXP_BOUND)
-
-    @staticmethod
-    def monomial(coeff: int, e: int = 0) -> "LaurentPoly1":
-        return LaurentPoly1({e: coeff})
 
     def __mul__(self, other) -> "LaurentPoly1":
         other = self._coerce(other)

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from .braid import BraidWord, quasitoric_beta
 from .diagram import Crossing, LinkDiagram, from_braid_closure
-from .errors import DiagramError
+from .errors import DiagramError, SelfCheckError
 
 __all__ = [
     "PUSHOFF_LINKING_SIGN",
@@ -199,7 +199,8 @@ def canonical_whitehead(d: LinkDiagram, m: int, clasp_sign: int) -> LinkDiagram:
     if clasp_sign not in (1, -1):
         raise DiagramError("clasp_sign must be +1 or -1")
     result = _banded(d, m, [(_clasp, clasp_sign)], "canonical_whitehead")
-    assert result.component_count() == 1
+    if result.component_count() != 1:
+        raise SelfCheckError("the Whitehead double is not a knot")
     return result
 
 

@@ -54,10 +54,6 @@ ancestor, and each is in the memo by the time the parent is on top again;
 the second visit only combines memo values.  Identical inputs yield
 identical polynomials regardless of the memo hit pattern; a memo entry is
 never overwritten with a different value.
-
-Thread-safety: diagrams and polynomials are immutable, and the memo table
-tolerates concurrent insertion of identical key/value pairs; the engine
-itself runs single-threaded for reproducible counter values.
 """
 
 from __future__ import annotations
@@ -187,16 +183,10 @@ class SkeinEngine:
                 stack.pop()
                 continue
             self.nodes_expanded += 1
-            if self.nodes_expanded > self.node_budget:
+            out_of_nodes = self.nodes_expanded > self.node_budget
+            if out_of_nodes or (deadline is not None and time.monotonic() > deadline):
                 raise BudgetExceededError(
-                    "skein node budget exhausted",
-                    nodes=self.nodes_expanded,
-                    elapsed=time.monotonic() - t0,
-                    memo_size=len(memo),
-                )
-            if deadline is not None and time.monotonic() > deadline:
-                raise BudgetExceededError(
-                    "skein wall-clock budget exhausted",
+                    f"skein {'node' if out_of_nodes else 'wall-clock'} budget exhausted",
                     nodes=self.nodes_expanded,
                     elapsed=time.monotonic() - t0,
                     memo_size=len(memo),

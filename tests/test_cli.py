@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from skeinkit import cli
+from skeinkit import cli, satellite
 from skeinkit.cli import main
 from skeinkit.diagram import LinkDiagram
 from skeinkit.skein import SkeinEngine
@@ -120,6 +120,13 @@ def test_bracket_self_check_failure_is_an_error_exit(monkeypatch, capsys):
     code, out, err = run(capsys, "homfly", "--braid", "2: 1 1 1", "--check", "jones")
     assert code == 1
     assert err == "error: writhe-corrected bracket has an odd exponent\n"
+
+
+def test_whitehead_self_check_failure_is_an_error_exit(monkeypatch, capsys):
+    monkeypatch.setattr(satellite, "_clasp", satellite._full_twist)
+    code, out, err = run(capsys, "homfly", "--braid", "2: 1 1 1", "--whitehead", "+")
+    assert code == 1
+    assert err == "error: the Whitehead double is not a knot\n"
 
 
 def test_pd_input_round_trip(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Every imported name in the package and the tests is used, every private
 module-level function and private method of the package has a caller in the
-package, every public one is read outside the tests, and the three engines
-import none of each other."""
+package, every public one is read outside the tests, the three engines
+import none of each other, and the package has no ``assert`` statement."""
 
 import ast
 from pathlib import Path
@@ -201,3 +201,22 @@ def test_engines_share_no_algebra():
     trees = {name: ast.parse((ROOT / "src" / "skeinkit" / f"{name}.py").read_text()) for name in ENGINES}
     found = engine_cross_imports(trees)
     assert not found, "engine imports of another engine or a layer above them:\n" + "\n".join(found)
+
+
+# ``python -O`` strips assert statements, so a failed check in the package
+# raises an error of its own (``SelfCheckError``, say) instead.
+
+
+def assert_lines(tree: ast.Module) -> list:
+    """Line of each ``assert`` statement in ``tree``, at any depth."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_assert_statements_are_caught():
+    tree = ast.parse("assert x\ndef f():\n    if y:\n        assert y, 'm'\nz = 'assert z'\nassertion = 1\n")
+    assert assert_lines(tree) == [1, 4]
+
+
+def test_no_assert_statements_in_the_package():
+    found = [f"{path}:{line}" for path, tree in parse_folder("src").items() for line in assert_lines(tree)]
+    assert not found, "assert statements in src/:\n" + "\n".join(found)

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from skeinkit import satellite
 from skeinkit.braid import BraidWord
 from skeinkit.diagram import LinkDiagram, from_braid_closure
-from skeinkit.errors import DiagramError
+from skeinkit.errors import DiagramError, SelfCheckError
 from skeinkit.satellite import (
     PUSHOFF_LINKING_SIGN,
     blackboard_double,
@@ -113,6 +114,13 @@ def test_whitehead_writhe():
         for s in (1, -1):
             k = canonical_whitehead(TREFOIL, m, s)
             assert k.writhe() == -2 * (m - w) + 2 * s
+
+
+def test_whitehead_double_that_is_not_a_knot_is_a_self_check_error(monkeypatch):
+    # a full twist in place of the clasp leaves the band's two components
+    monkeypatch.setattr(satellite, "_clasp", satellite._full_twist)
+    with pytest.raises(SelfCheckError, match="the Whitehead double is not a knot"):
+        canonical_whitehead(TREFOIL, 0, 1)
 
 
 def test_whitehead_of_round_unknot():
