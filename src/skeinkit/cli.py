@@ -265,6 +265,8 @@ def _cmd_cache(args) -> int:
     engine = SkeinEngine(cache_path=path)
     print(f"cache {path}: {len(engine.memo)} entries, {size} bytes")
     if args.action == "compact":
+        for code in engine.memo:  # a read entry is saved in canonical text
+            engine.value(code)
         written = engine.save_cache(path)
         print(f"rewrote {written} entries")
     return 0

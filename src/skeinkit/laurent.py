@@ -48,6 +48,8 @@ class _SparseLaurent:
         data = {}
         if terms:
             for key, c in (terms.items() if isinstance(terms, dict) else terms):
+                if not isinstance(c, int):
+                    raise TypeError(f"coefficient {c!r} is not an int")
                 if c:
                     c2 = data.get(key, 0) + c
                     if c2:
@@ -222,9 +224,14 @@ class LaurentPoly2(_SparseLaurent):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._terms, other._terms
-        if len(a) > len(b):
-            a, b = b, a
+        short, long = (self, other) if len(self._terms) <= len(other._terms) else (other, self)
+        a, b = short._terms, long._terms
+        if len(a) == 1:
+            # A monomial shifts the other operand's exponents, and 1 keeps it.
+            ((av, az), ac), = a.items()
+            if ac == 1 and av == az == 0:
+                return long
+            return self._raw({(bv + av, bz + az): bc * ac for (bv, bz), bc in b.items()})
         data = {}
         for (av, az), ac in a.items():
             for (bv, bz), bc in b.items():

@@ -46,6 +46,15 @@ child up there before it searches for the code.  The table is cleared
 whenever it reaches ``_CODE_TABLE_CAP`` entries, which bounds its memory; a
 miss only costs the search again.
 
+A run reads few of the entries it loads, so a loaded line in the form
+``save_cache`` writes stays text in the memo until its first read, and
+``SkeinEngine.value`` parses it there; a save writes an entry that was never
+read back as the text it was read as.  Any other line is parsed on load, so
+the lines accepted and the ``CacheCorruptionError`` raised, with their line
+numbers, are those of parsing every line.  A check on each cache entry
+(the Morton bound and parity of its decoded diagram) belongs in ``value``,
+where the entry is first read.
+
 The evaluator runs on an explicit stack, so deep skein trees cannot overflow
 the interpreter stack.  A node is expanded once, when it first reaches the
 top: it pushes its children that are not memoized and keeps only their
@@ -59,6 +68,7 @@ never overwritten with a different value.
 from __future__ import annotations
 
 import os
+import re
 import time
 
 from .diagram import LinkDiagram, _WorkingDiagram
@@ -75,6 +85,15 @@ _NEG = (LaurentPoly2.monomial(-1, v=-1, z=1), LaurentPoly2.monomial(1, v=-2))
 # satellite-cold pass of the benchmark meets about 2,100 distinct labelled
 # pieces; 1,024 entries keep 97% of its repeat lookups at half the memory.
 _CODE_TABLE_CAP = 1024
+
+# A cache line as ``save_cache`` writes it, once its hex is of even length:
+# lowercase hex, a TAB, and canonical polynomial text with nonzero
+# coefficients and exponents of at most 9 digits (inside the 2**31 bound),
+# so that it always parses (module docstring).  The length is tested apart:
+# matching hex digits in pairs takes the regex twice as long.
+_EXPONENT = r"(?:0|-?[1-9][0-9]{0,8})"
+_TERM = rf"-?[1-9][0-9]*\*v\^{_EXPONENT}\*z\^{_EXPONENT}"
+_CANONICAL_LINE = re.compile(rf"([0-9a-f]+)\t(0|{_TERM}(?: \+ {_TERM})*)")
 
 
 class SkeinEngine:
@@ -102,13 +121,17 @@ class SkeinEngine:
                 line = line.strip()
                 if not line:
                     continue
-                code_hex, _, poly_text = line.partition("\t")
-                try:
-                    code, value = bytes.fromhex(code_hex), LaurentPoly2.parse_text(poly_text)
-                except (ValueError, OverflowError) as exc:
-                    raise CacheCorruptionError(
-                        f"{path}: bad cache line {lineno}: {line!r} ({exc})"
-                    ) from exc
+                m = _CANONICAL_LINE.fullmatch(line)
+                if m and not len(m[1]) % 2:
+                    code, value = bytes.fromhex(m[1]), m[2]
+                else:
+                    code_hex, _, poly_text = line.partition("\t")
+                    try:
+                        code, value = bytes.fromhex(code_hex), LaurentPoly2.parse_text(poly_text)
+                    except (ValueError, OverflowError) as exc:
+                        raise CacheCorruptionError(
+                            f"{path}: bad cache line {lineno}: {line!r} ({exc})"
+                        ) from exc
                 self._memo_write(code, value)
                 count += 1
         self.preloaded += count
@@ -118,7 +141,10 @@ class SkeinEngine:
         path = path or self.cache_path
         if path is None:
             raise ValueError("no cache path configured")
-        lines = sorted(f"{code.hex()}\t{p.format_text()}\n" for code, p in self.memo.items())
+        lines = sorted(
+            f"{code.hex()}\t{p if isinstance(p, str) else p.format_text()}\n"
+            for code, p in self.memo.items()
+        )
         tmp = f"{path}.tmp.{os.getpid()}"
         with open(tmp, "w", encoding="ascii") as fh:
             fh.writelines(lines)
@@ -133,12 +159,25 @@ class SkeinEngine:
             "preloaded": self.preloaded,
         }
 
-    def _memo_write(self, code: bytes, value: LaurentPoly2) -> None:
+    def value(self, code: bytes) -> LaurentPoly2:
+        """The memo value of ``code``; a loaded line is parsed on its first read."""
+        value = self.memo[code]
+        if isinstance(value, str):
+            value = self.memo[code] = LaurentPoly2.parse_text(value)
+        return value
+
+    def _memo_write(self, code: bytes, value) -> None:
+        """Store a polynomial, or a loaded line's canonical text, under ``code``.
+        Two texts are parsed only when they differ, so that a conflicting
+        duplicate line is refused at load."""
         old = self.memo.get(code)
         if old is None:
             self.memo[code] = value
         elif old != value:
-            raise CacheCorruptionError("memo entry conflict for a canonical code")
+            if isinstance(value, str):
+                value = LaurentPoly2.parse_text(value)
+            if self.value(code) != value:
+                raise CacheCorruptionError("memo entry conflict for a canonical code")
 
     # -- evaluation -------------------------------------------------------
 
@@ -152,13 +191,14 @@ class SkeinEngine:
             self._resolve(piece, code, t0)
         result = delta_power(exponent)
         for code, _ in pieces:
-            result = result * self.memo[code]
+            result = result * self.value(code)
         _self_check(d, result)
         return result
 
     def _resolve(self, piece0: LinkDiagram, code0: bytes, t0: float) -> None:
         """Evaluate one piece into the memo; ``t0`` is when homfly() began."""
         memo = self.memo
+        value_of = self.value
         if code0 in memo:
             self.memo_hits += 1
             return
@@ -177,7 +217,7 @@ class SkeinEngine:
                 for coeff, exponent, child_codes in terms:
                     part = delta_power(exponent)
                     for child_code in child_codes:
-                        part = part * memo[child_code]
+                        part = part * value_of(child_code)
                     value = value + coeff * part
                 self._memo_write(code, value)
                 stack.pop()

@@ -197,3 +197,50 @@ def test_constants_hash_as_their_ints():
             assert {p: "poly"}.get(k) == "poly"
     assert {1: "one"}.get(ONE) == "one" and {0: "zero"}.get(ZERO) == "zero"
     assert len({ONE, 1, LaurentPoly2.monomial(1, v=2)}) == 2
+
+
+def general_product(p, q):
+    """The double loop over both operands' terms, with no monomial shortcut."""
+    data = {}
+    for (av, az), ac in p.terms().items():
+        for (bv, bz), bc in q.terms().items():
+            key = (av + bv, az + bz)
+            data[key] = data.get(key, 0) + ac * bc
+    return LaurentPoly2(data)
+
+
+def monomial_strategy():
+    return st.one_of(
+        st.just(ONE),
+        st.builds(
+            LaurentPoly2.monomial,
+            st.integers(-9, 9).filter(bool),
+            st.integers(-6, 6),
+            st.integers(-6, 6),
+        ),
+    )
+
+
+@given(st.one_of(monomial_strategy(), poly_strategy()), st.one_of(monomial_strategy(), poly_strategy()))
+@settings(max_examples=300, deadline=None)
+def test_product_equals_the_general_product(p, q):
+    for pq in (p * q, q * p):
+        assert pq == general_product(p, q)
+        assert pq.terms() == {k: c for k, c in pq.terms().items() if c}
+    if len(p.terms()) > 1:  # the shorter operand 1 returns the other one
+        assert ONE * p is p and p * ONE is p and p * 1 is p
+
+
+def test_coefficients_must_be_ints():
+    from fractions import Fraction
+
+    for bad in (
+        lambda: LaurentPoly2({(0, 0): 0.5}),
+        lambda: LaurentPoly2({(0, 0): 0.0}),
+        lambda: LaurentPoly2([((1, 1), 1), ((0, 0), Fraction(1, 2))]),
+        lambda: LaurentPoly2.monomial(1.0, v=1),
+        lambda: LaurentPoly1({0: 1.0, 2: Fraction(1, 2)}),
+    ):
+        with pytest.raises(TypeError, match="is not an int"):
+            bad()
+    assert LaurentPoly2({(0, 0): 2**70}).format_text() == f"{2**70}*v^0*z^0"

@@ -1,13 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skeinkit.braid import BraidWord
 from skeinkit.diagram import LinkDiagram, from_braid_closure
-from skeinkit.errors import BudgetExceededError, DiagramError
-from skeinkit.laurent import DELTA, LaurentPoly2, delta_power
+from skeinkit.errors import BudgetExceededError, CacheCorruptionError, DiagramError
+from skeinkit.laurent import DELTA, ONE, ZERO, LaurentPoly2, delta_power
 from skeinkit.satellite import blackboard_double, quasitoric_closure
-from skeinkit.skein import SkeinEngine
+from skeinkit.skein import _CANONICAL_LINE, SkeinEngine
 
 HOPF_PLUS = LaurentPoly2({(1, 1): 1, (1, -1): 1, (3, -1): -1})
 RIGHT_TREFOIL = LaurentPoly2({(2, 0): 2, (4, 0): -1, (2, 2): 1})
@@ -276,3 +277,186 @@ def test_canonical_code_format_is_pinned():
     d = blackboard_double(closure([1, 1, 1]))
     assert d.component_count() == 2
     assert d.canonical_code().hex() == DOUBLED_TREFOIL_CODE
+
+
+# -- the disk cache -------------------------------------------------------
+
+
+def oracle_load(path) -> dict:
+    """The eager loader: parse every line on load, refuse a conflict there.
+
+    It is the reference for which lines load, which raise (with their line
+    numbers) and which values they give."""
+    memo = {}
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            code_hex, _, poly_text = line.partition("\t")
+            try:
+                code, value = bytes.fromhex(code_hex), LaurentPoly2.parse_text(poly_text)
+            except (ValueError, OverflowError) as exc:
+                raise CacheCorruptionError(
+                    f"{path}: bad cache line {lineno}: {line!r} ({exc})"
+                ) from exc
+            old = memo.get(code)
+            if old is None:
+                memo[code] = value
+            elif old != value:
+                raise CacheCorruptionError("memo entry conflict for a canonical code")
+    return memo
+
+
+def outcome(load, path):
+    try:
+        return "ok", load(path)
+    except CacheCorruptionError as exc:
+        return "refused", str(exc)
+
+
+def engine_load(path) -> dict:
+    e = SkeinEngine(cache_path=str(path))
+    return {code: e.value(code) for code in e.memo}
+
+
+def exponent_text():
+    small = st.integers(-3, 3).map(str)
+    padded = st.tuples(st.sampled_from(["", "-"]), st.integers(0, 3)).map(lambda t: f"{t[0]}0{t[1]}")
+    ten_digits = st.tuples(
+        st.sampled_from(["", "-"]),
+        st.one_of(st.integers(10**9, 2**31 - 1), st.integers(2**31, 10**10 - 1)),
+    ).map(lambda t: f"{t[0]}{t[1]}")
+    return st.one_of(small, small, padded, ten_digits)
+
+
+def term_text():
+    coeff = st.one_of(st.integers(-2, 2).map(str), st.sampled_from(["01", "-02", "00"]))
+    return st.tuples(coeff, exponent_text(), exponent_text()).map(lambda t: f"{t[0]}*v^{t[1]}*z^{t[2]}")
+
+
+def poly_line_text():
+    joined = st.tuples(
+        st.lists(term_text(), min_size=1, max_size=3), st.sampled_from([" + ", "  + ", " +  ", "+"])
+    ).map(lambda t: t[1].join(t[0]))
+    return st.one_of(st.just("0"), joined, joined)
+
+
+def cache_line():
+    # Lines in the saved shape over two codes and a few small terms, in any
+    # order, so that one code often gets equal and unequal values ...
+    small_term = st.sampled_from(
+        ["1*v^0*z^0", "-1*v^2*z^0", "2*v^-2*z^2", "-1*v^0*z^0", "1*v^2147483647*z^0", "1*v^0*z^-2147483648"]
+    )
+    saved_shape = st.tuples(
+        st.sampled_from(["ab", "0a1b"]),
+        st.one_of(st.just("0"), st.lists(small_term, min_size=1, max_size=3).map(" + ".join)),
+    ).map("\t".join)
+    # ... and lines in any other shape.
+    code = st.sampled_from(["ab", "AB", "aB", "0a1b", "abc", "a b", ""])
+    pad = st.sampled_from(["", "", " ", "\t"])
+    other = st.tuples(pad, code, st.sampled_from(["\t", "\t", " "]), poly_line_text(), pad).map("".join)
+    return st.one_of(saved_shape, other)
+
+
+@given(st.lists(st.one_of(cache_line(), st.just("")), min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_loader_matches_the_eager_oracle(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("cache") / "poly.cache"
+    path.write_text("".join(line + "\n" for line in lines), encoding="ascii")
+    assert outcome(engine_load, path) == outcome(oracle_load, path)
+
+
+def test_canonical_lines_parse_on_first_read_only(tmp_path):
+    path = tmp_path / "poly.cache"
+    path.write_text(
+        "ab\t1*v^2*z^0\n"  # canonical: kept as text
+        "cd\t1*v^02*z^0\n"  # leading zero: parsed on load
+        "ef\t1*v^1000000000*z^0\n"  # 10 digits: parsed on load
+    )
+    e = SkeinEngine(cache_path=str(path))
+    v2 = LaurentPoly2.monomial(1, v=2)
+    assert e.memo == {
+        b"\xab": "1*v^2*z^0", b"\xcd": v2, b"\xef": LaurentPoly2.monomial(1, v=10**9)
+    }
+    assert e.value(b"\xab") == v2
+    assert e.memo[b"\xab"] == v2 and not isinstance(e.memo[b"\xab"], str)
+    assert _CANONICAL_LINE.fullmatch("ab\t1*v^999999999*z^-999999999")
+    assert not _CANONICAL_LINE.fullmatch("ab\t1*v^1000000000*z^0")
+
+
+def test_duplicate_lines_load_when_their_values_are_equal(tmp_path):
+    path = tmp_path / "poly.cache"
+    value = LaurentPoly2({(2, 0): 2, (4, 0): -1, (2, 2): 1})
+    for other in (
+        "1*v^2*z^2 + 2*v^2*z^0 + -1*v^4*z^0",  # canonical shape, terms out of order
+        "2*v^2*z^0 + -1*v^4*z^0 + 1*v^2*z^2 + 1*v^0*z^0 + -1*v^0*z^0",  # cancelling terms
+        "2*v^2*z^0  +  -1*v^4*z^0 + 1*v^2*z^2",  # parsed on load
+    ):
+        path.write_text(f"ab\t{value.format_text()}\nab\t{other}\n")
+        e = SkeinEngine(cache_path=str(path))
+        assert e.counters()["preloaded"] == 2 and len(e.memo) == 1
+        assert e.value(b"\xab") == value
+    for other in ("2*v^2*z^0 + -1*v^4*z^0", "1*v^2*z^2 + 2*v^2*z^0 + 1*v^4*z^0", "0"):
+        path.write_text(f"ab\t{value.format_text()}\nab\t{other}\n")
+        with pytest.raises(CacheCorruptionError, match="conflict"):
+            SkeinEngine(cache_path=str(path))
+
+
+@pytest.fixture(scope="module")
+def borromean_cache(tmp_path_factory):
+    """A cache of the doubled Borromean rings (721 entries) and its value."""
+    path = tmp_path_factory.mktemp("cache") / "poly.cache"
+    e = SkeinEngine(cache_path=str(path))
+    d = blackboard_double(quasitoric_closure(2, 1))
+    p = e.homfly(d)
+    e.save_cache()
+    return path, d, p
+
+
+def test_saved_lines_are_canonical_lines(borromean_cache, tmp_path):
+    path = borromean_cache[0]
+    lines = path.read_text().splitlines()
+    assert len(lines) == 721
+    e = SkeinEngine()
+    edge = LaurentPoly2({(-(10**9 - 1), 10**9 - 1): -(2**80), (0, 0): 3})
+    for i, p in enumerate([ONE, ZERO, DELTA, HOPF_PLUS, edge]):
+        e._memo_write(bytes([i]), p)
+    e.save_cache(str(tmp_path / "more.cache"))
+    lines += (tmp_path / "more.cache").read_text().splitlines()
+    matches = [_CANONICAL_LINE.fullmatch(line) for line in lines]
+    assert all(m and not len(m[1]) % 2 for m in matches)
+
+
+def test_loading_and_saving_rewrites_the_same_bytes(borromean_cache, tmp_path):
+    path, d, p = borromean_cache
+    before = path.read_bytes()
+    copy = tmp_path / "copy.cache"
+    copy.write_bytes(before)
+    e = SkeinEngine(cache_path=str(copy))
+    e.save_cache()
+    assert copy.read_bytes() == before
+    assert e.homfly(d) == p and e.counters()["nodes"] == 0
+    e.save_cache()
+    assert copy.read_bytes() == before
+
+
+def test_a_warm_run_parses_only_the_entries_it_reads(borromean_cache, monkeypatch):
+    # Loading parses nothing; each read entry is parsed once.  A return to
+    # parsing every line on load fails here.
+    path, d, p = borromean_cache
+    parse = LaurentPoly2.parse_text
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(LaurentPoly2, "parse_text", staticmethod(counting))
+    e = SkeinEngine(cache_path=str(path))
+    assert e.counters()["preloaded"] == 721 and calls == []
+    assert e.homfly(d) == p
+    assert e.homfly(d) == p
+    read = [v for v in e.memo.values() if not isinstance(v, str)]
+    assert e.counters()["nodes"] == 0
+    assert 1 <= len(calls) == len(read) < 721
