@@ -13,7 +13,6 @@ from .errors import (
     BudgetExceededError,
     CacheCorruptionError,
     DiagramError,
-    ResourceLimitError,
     SelfCheckError,
     SkeinKitError,
     ZeroPolynomialError,
@@ -46,7 +45,6 @@ __all__ = [
     "LaurentPoly2",
     "LinkDiagram",
     "PUSHOFF_LINKING_SIGN",
-    "ResourceLimitError",
     "SelfCheckError",
     "SkeinEngine",
     "SkeinKitError",

@@ -114,9 +114,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cache_path(args) -> str | None:
+    """The cache path, refused before any work if it could not be saved to."""
     path = getattr(args, "cache", None) or os.environ.get(CACHE_ENV)
     if path and os.path.isdir(path):
         raise UsageError(f"cache path {path} is a directory")
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        raise UsageError(f"cache path {path} is not in an existing directory")
     return path
 
 
@@ -201,7 +204,7 @@ def _cmd_homfly(args) -> int:
     # Only a run of the skein engine reads or writes the cache.
     engine = _skein_engine(args) if args.engine != "hecke" else None
     reports = []
-    skein_poly = None
+    skein_poly = hecke_poly = None
     with _report(reports, desc, args.engine) as rep:
         # The oracles run first, so that an error of theirs costs no skein work.
         hecke_poly = homfly_closed_braid(word) if args.engine != "skein" else None
@@ -214,10 +217,13 @@ def _cmd_homfly(args) -> int:
         if bracket is not None:
             jones = specialize_homfly_to_jones(p)
             rep.check("jones-specialization-equals-bracket", True, jones == bracket)
-    if engine and engine.cache_path:
+    # Every new memo entry comes from an expanded node: a run that expanded
+    # none leaves the file as it is.
+    if engine and engine.cache_path and engine.nodes_expanded:
         engine.save_cache()
     _emit(reports, args.out)
-    if args.out == "text" and args.engine == "both" and skein_poly == hecke_poly:
+    # Either value is None when its engine did not run or its budget ran out.
+    if args.out == "text" and skein_poly is not None and skein_poly == hecke_poly:
         print("engines agree")
     return 1 if rep.failed or rep.skipped else 0
 
@@ -242,7 +248,7 @@ def _cmd_stats(args) -> int:
 def _cmd_verify(args) -> int:
     engine = _skein_engine(args)
     reports = run_suites([args.suite], SuiteConfig(engine=engine, r_max=args.r_max))
-    if engine.cache_path:
+    if engine.cache_path and engine.nodes_expanded:  # else no entry is new
         engine.save_cache()
     _emit(reports, args.out)
     failed = any(r.failed for r in reports)

@@ -14,10 +14,14 @@ class DiagramError(SkeinKitError):
 
 
 class BudgetExceededError(SkeinKitError):
-    """A computation ran out of its node or wall-clock budget.
+    """A computation ran out of its budget: the skein engine's node or
+    wall-clock budget, the bracket's ``STATE_BUDGET`` on live states, or the
+    Hecke trace's ``MAX_STRANDS`` ceiling.
 
-    Carries partial statistics; never a wrong polynomial.  ``args[0]`` is
-    the bare reason; ``str()`` appends the nodes used and the seconds spent.
+    Never a wrong polynomial.  The skein engine sets ``nodes``, ``elapsed``
+    and ``memo_size``; they are ``None`` for the bracket and Hecke budgets.
+    ``args[0]`` is the bare reason; ``str()`` appends the nodes used and the
+    seconds spent, when known.
     """
 
     def __init__(self, message, *, nodes=None, elapsed=None, memo_size=None):
@@ -33,10 +37,6 @@ class BudgetExceededError(SkeinKitError):
         if self.elapsed is not None:
             text += f" in {self.elapsed:.3f} s"
         return text
-
-
-class ResourceLimitError(SkeinKitError):
-    """An engine refused an input that would exceed its memory ceiling."""
 
 
 class SelfCheckError(SkeinKitError):

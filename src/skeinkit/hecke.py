@@ -44,8 +44,9 @@ of S * width bits.  A coefficient of the result sums at most
 2^(letters + 1 + (n-1)(n-2)/2) signed paths, so S >= letters + 3 +
 (n-1)(n-2)/2 (rounded up to whole bytes) decodes it exactly.
 
-The basis has n! elements; inputs above ``MAX_STRANDS`` (10) are refused
-rather than silently thrashing memory.
+The basis has n! elements; an input above ``MAX_STRANDS`` (10) strands
+raises ``BudgetExceededError``, a budget SKIP in a report, rather than
+silently thrashing memory.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .braid import BraidWord
-from .errors import ResourceLimitError
+from .errors import BudgetExceededError
 from .laurent import LaurentPoly2
 
 __all__ = ["homfly_closed_braid"]
@@ -125,7 +126,7 @@ def homfly_closed_braid(b: BraidWord) -> LaurentPoly2:
     """
     n = b.strands
     if n > MAX_STRANDS:
-        raise ResourceLimitError(
+        raise BudgetExceededError(
             f"{n} strands would need a {n}!-element basis (ceiling is {MAX_STRANDS})"
         )
     m = len(b.letters)

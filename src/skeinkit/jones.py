@@ -50,7 +50,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .diagram import LinkDiagram
-from .errors import DiagramError, ResourceLimitError, SelfCheckError
+from .errors import BudgetExceededError, DiagramError, SelfCheckError
 from .laurent import LaurentPoly1, LaurentPoly2
 
 __all__ = ["jones_via_bracket", "specialize_homfly_to_jones"]
@@ -78,7 +78,8 @@ def _narrow_order(ends: list) -> list:
 def jones_via_bracket(d: LinkDiagram) -> LaurentPoly1:
     """Jones polynomial in a = t^(1/2), by bracket contraction plus writhe.
 
-    More than ``STATE_BUDGET`` live states raise a resource error.
+    More than ``STATE_BUDGET`` live states raise ``BudgetExceededError``,
+    a budget SKIP in a report.
     """
     if d.is_empty():
         raise DiagramError("the empty diagram has no Jones polynomial")
@@ -131,7 +132,7 @@ def jones_via_bracket(d: LinkDiagram) -> LaurentPoly1:
                 k = key_of(p)
                 new_states[k] = new_states.get(k, 0) + value
             if len(new_states) > STATE_BUDGET:
-                raise ResourceLimitError("bracket state budget exhausted")
+                raise BudgetExceededError("bracket state budget exhausted")
         states = new_states
         front = new_front
 

@@ -24,8 +24,8 @@ Suites:
 The Morton bound and exponent parity are not report rows: the skein engine
 asserts both on every value it returns, so a violation raises.
 
-A budget exhausted anywhere in a report's block ends that report with one
-SKIP check (never FAIL, never a polynomial), recorded by ``_report``:
+A budget exhausted anywhere in a report's block (the skein engine's, the
+bracket's or the Hecke trace's) ends that report with one SKIP check (never FAIL, never a polynomial), recorded by ``_report``:
 nothing after the SKIP in that report runs, and the checks before it stay.
 All randomness is seeded; reports are deterministic apart from timings.
 """

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from skeinkit import cli, satellite
+from skeinkit import cli, jones, satellite
 from skeinkit.cli import main
 from skeinkit.diagram import LinkDiagram
 from skeinkit.skein import SkeinEngine
@@ -206,6 +206,29 @@ def test_homfly_budget_skip_saves_cache(tmp_path, capsys, monkeypatch):
     assert len(cache.read_text().splitlines()) > saved
 
 
+@pytest.mark.parametrize("engine", ["hecke", "both"])
+def test_hecke_strand_ceiling_is_a_skip(capsys, engine):
+    # The Hecke ceiling ends the report as a SKIP, and no engines agree.
+    code, out, err = run(capsys, "homfly", "--engine", engine, "--braid", "11: 1 2 3 4 5 6 7 8 9 10")
+    assert (code, err) == (1, "")
+    assert out == (
+        f"input: braid(11: 1 2 3 4 5 6 7 8 9 10)  [engine: {engine}]\n"
+        "  [skip] computation  (budget exhausted: 11 strands would need a 11!-element basis"
+        " (ceiling is 10))\n"
+    )
+
+
+def test_warm_runs_leave_the_cache_file_alone(tmp_path, capsys):
+    # A run that expands no skein node adds no entry, so it does not save.
+    cache = tmp_path / "c.cache"
+    for argv in (["verify", "--suite", "borromean"], ["homfly", "--braid", "2: 1 1 1"]):
+        assert run(capsys, *argv, "--cache", str(cache))[0] == 0
+        before = cache.stat()
+        assert run(capsys, *argv, "--cache", str(cache))[0] == 0
+        after = cache.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+
 def test_hecke_engine_leaves_the_cache_alone(tmp_path, capsys):
     # Only the skein engine reads or writes the cache.
     cache = tmp_path / "c.cache"
@@ -340,6 +363,21 @@ def test_verify_budget_skip_and_strict(capsys):
     assert code == 1
 
 
+def test_bracket_state_budget_is_a_skip(capsys, monkeypatch):
+    # The bracket's ceiling ends the report after the checks before it.
+    monkeypatch.setattr(jones, "STATE_BUDGET", 5)
+    code, out, err = run(capsys, "verify", "--suite", "borromean")
+    assert (code, err) == (0, "")
+    rows = [line.split("  (")[0] for line in out.splitlines()[3:]]
+    assert rows == [f"  [ok  ] coefficients[z^{ez}]" for ez in (-5, -1, 1, 3, 5, 7, 9, 11)] + [
+        "  [ok  ] max-z-degree[r=2]",
+        "  [skip] computation",
+        "checks: 9 passed, 0 failed, 1 skipped",
+    ]
+    assert "  [skip] computation  (budget exhausted: bracket state budget exhausted)\n" in out
+    assert run(capsys, "verify", "--suite", "borromean", "--strict")[0] == 1
+
+
 def test_verify_structural_budget_skips(capsys):
     code, out, _ = run(
         capsys, "verify", "--suite", "structural", "--nodes", "5", "--out", "json"
@@ -453,6 +491,22 @@ def test_cache_path_that_is_a_directory_exits_2(tmp_path, capsys, monkeypatch, s
         assert err == f"error: cache path {cache} is a directory\n"
     assert list(tmp_path.iterdir()) == [cache]
     assert list(cache.iterdir()) == []
+
+
+@pytest.mark.parametrize("parent", ["missing", "file"])
+def test_cache_path_outside_a_directory_exits_2(tmp_path, capsys, monkeypatch, parent):
+    # A cache that could not be saved is refused before any skein work.
+    if parent == "file":
+        (tmp_path / parent).write_text("")
+    cache = tmp_path / parent / "poly.cache"
+    calls = []
+    monkeypatch.setattr(SkeinEngine, "homfly", lambda self, d: calls.append(d))
+    for argv in (["cache", "inspect"], ["homfly", "--braid", "2: 1 1 1"], ["verify", "--suite", "borromean"]):
+        code, out, err = run(capsys, *argv, "--cache", str(cache))
+        assert (code, out) == (2, "")
+        assert err == f"error: cache path {cache} is not in an existing directory\n"
+    assert calls == []
+    assert [p.name for p in tmp_path.iterdir()] == ([parent] if parent == "file" else [])
 
 
 def test_cache_requires_path(capsys, monkeypatch):

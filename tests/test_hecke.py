@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from skeinkit import hecke
 from skeinkit.braid import BraidWord, quasitoric_beta, toric
 from skeinkit.diagram import from_braid_closure
-from skeinkit.errors import ResourceLimitError
+from skeinkit.errors import BudgetExceededError
 from skeinkit.hecke import homfly_closed_braid
 from skeinkit.laurent import DELTA, ONE, LaurentPoly2, delta_power
 from skeinkit.skein import SkeinEngine
@@ -224,5 +224,5 @@ def test_torus_knots_match_skein(eng):
 
 
 def test_strand_ceiling():
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(BudgetExceededError):
         homfly_closed_braid(BraidWord(12, (1,)))

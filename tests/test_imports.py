@@ -1,7 +1,8 @@
 """Every imported name in the package and the tests is used, every private
 module-level function and private method of the package has a caller in the
 package, every public one is read outside the tests, the three engines
-import none of each other, and the package has no ``assert`` statement."""
+import none of each other, the package has no ``assert`` statement, only
+``suites._report`` catches a budget error, and every error class is raised."""
 
 import ast
 from pathlib import Path
@@ -220,3 +221,73 @@ def test_assert_statements_are_caught():
 def test_no_assert_statements_in_the_package():
     found = [f"{path}:{line}" for path, tree in parse_folder("src").items() for line in assert_lines(tree)]
     assert not found, "assert statements in src/:\n" + "\n".join(found)
+
+
+# ``suites._report`` is the one place that turns a budget error of any engine
+# into a SKIP; a second handler would let one path skip what another fails.
+
+
+def budget_handlers(trees: dict) -> list:
+    """``(module, function, line)`` of each ``except`` clause in ``trees`` (a
+    dict of module name -> parsed tree) that names ``BudgetExceededError``;
+    ``function`` is the innermost enclosing function, or ``<module>``."""
+    found = []
+
+    def visit(node, module, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if isinstance(child, ast.ExceptHandler) and child.type is not None:
+                if "BudgetExceededError" in names_read(child.type):
+                    found.append((module, function, child.lineno))
+            visit(child, module, function)
+
+    for module, tree in trees.items():
+        visit(tree, module, "<module>")
+    return sorted(found)
+
+
+def test_budget_handlers_are_caught():
+    tree = ast.parse(
+        "try:\n    x()\nexcept BudgetExceededError:\n    pass\n"
+        "def f():\n    try:\n        x()\n    except (ValueError, errors.BudgetExceededError):\n        pass\n"
+        "    def g():\n        try:\n            x()\n        except SkeinKitError:\n            pass\n"
+        "        except BudgetExceededError as exc:\n            pass\n"
+        "    try:\n        x()\n    except:\n        pass\n"
+    )
+    assert budget_handlers({"a": tree}) == [("a", "<module>", 3), ("a", "f", 8), ("a", "g", 15)]
+
+
+def test_only_report_catches_budget_errors():
+    found = budget_handlers(parse_folder("src"))
+    assert [(module, function) for module, function, _ in found] == [("src/skeinkit/suites.py", "_report")]
+
+
+def error_classes(tree: ast.Module) -> list:
+    """Names of the module-level classes of ``tree``."""
+    return [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+
+
+def raised_names(trees: dict) -> set:
+    """Every name read by the expression of a ``raise`` statement in ``trees``."""
+    return set().union(
+        *(names_read(node.exc) for tree in trees.values() for node in ast.walk(tree)
+          if isinstance(node, ast.Raise) and node.exc is not None)
+    )
+
+
+def test_raised_names_are_caught():
+    tree = ast.parse(
+        "raise A('m')\ndef f():\n    raise errors.B() from C\nraise\n"
+        "try:\n    pass\nexcept D:\n    raise\nE\n"
+    )
+    assert raised_names({"a": tree}) == {"A", "errors", "B"}
+    assert error_classes(ast.parse("class A(Exception):\n    class Inner: pass\nB = A\n")) == ["A"]
+
+
+def test_every_error_class_is_raised():
+    package = parse_folder("src")
+    raised = raised_names(package)
+    unraised = [name for name in error_classes(package["src/skeinkit/errors.py"]) if name not in raised]
+    assert not unraised, "error classes that nothing in src/ raises: " + ", ".join(unraised)

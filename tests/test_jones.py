@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from skeinkit import jones
 from skeinkit.braid import BraidWord, toric
 from skeinkit.diagram import Crossing, LinkDiagram, from_braid_closure
-from skeinkit.errors import DiagramError, ResourceLimitError, SelfCheckError, SkeinKitError
+from skeinkit.errors import BudgetExceededError, DiagramError, SelfCheckError, SkeinKitError
 from skeinkit.hecke import homfly_closed_braid
 from skeinkit.jones import jones_via_bracket, specialize_homfly_to_jones
 from skeinkit.laurent import DELTA, LaurentPoly1, LaurentPoly2
@@ -97,7 +97,7 @@ def test_empty_diagram_is_refused():
 
 def test_bracket_state_budget(monkeypatch):
     monkeypatch.setattr(jones, "STATE_BUDGET", 10)
-    with pytest.raises(ResourceLimitError, match="bracket state budget exhausted"):
+    with pytest.raises(BudgetExceededError, match="bracket state budget exhausted"):
         jones_via_bracket(from_braid_closure(toric(5, 6)))
 
 
@@ -110,7 +110,7 @@ def test_bracket_state_budget_caps_the_peak(monkeypatch):
     monkeypatch.setattr(jones, "STATE_BUDGET", T56_PEAK_STATES)
     assert jones_via_bracket(d) == specialize_homfly_to_jones(homfly_closed_braid(toric(5, 6)))
     monkeypatch.setattr(jones, "STATE_BUDGET", T56_PEAK_STATES - 1)
-    with pytest.raises(ResourceLimitError, match="bracket state budget exhausted"):
+    with pytest.raises(BudgetExceededError, match="bracket state budget exhausted"):
         jones_via_bracket(d)
 
 
