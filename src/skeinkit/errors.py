@@ -41,8 +41,9 @@ class BudgetExceededError(SkeinKitError):
 
 class SelfCheckError(SkeinKitError):
     """A computed polynomial is zero or breaks the Morton bound or the
-    exponent parity of its diagram, or a constructed diagram has the wrong
-    component count: an engine bug or a wrong cache entry."""
+    exponent parity of its diagram, a HOMFLYPT value has no Jones
+    specialization, or a constructed diagram has the wrong component count:
+    an engine bug or a wrong cache entry."""
 
 
 class CacheCorruptionError(SkeinKitError):

@@ -36,6 +36,11 @@ The coefficients left are at most the sum over states of 2^loops <= 2^(2n + p)
 in size, so S = 8 ceil((2n + p + 2) / 8) decodes them exactly in balanced
 base-2^S digits, straight into exponents of a.
 
+The HOMFLYPT specialization is packed the same way: its value, cleared of
+z-denominators, is evaluated at a = 2^S as one int, divided once by the
+int of the cleared denominator, and decoded by the bracket's digit loop.
+Its slot size argument is in ``specialize_homfly_to_jones``.
+
 Smoothing rules in port roles (the A-smoothing of a positive crossing is its
 oriented smoothing; mirror for negative):
 
@@ -141,37 +146,59 @@ def jones_via_bracket(d: LinkDiagram) -> LaurentPoly1:
     e = 2 - 2 * off - n - 3 * w  # the A-exponent of digit 0
     if e % 2:
         raise SelfCheckError("writhe-corrected bracket has an odd exponent")
-    # balanced base-2^S digits of x; digit i is the coefficient of a^(-e/2 - i)
-    e, terms = -e // 2, {}
+    return _from_digits(x, s, -e // 2, -1)
+
+
+def _from_digits(x: int, s: int, e: int, step: int) -> LaurentPoly1:
+    """The polynomial whose coefficient of a^(e + step i) is the i-th
+    balanced base-2^s digit of x, each digit in [-2^(s-1), 2^(s-1))."""
+    terms = {}
     mask, half = (1 << s) - 1, 1 << (s - 1)
     while x:
         c = ((x + half) & mask) - half
         if c:
             terms[e] = c
         x = (x - c) >> s
-        e -= 1
+        e += step
     return LaurentPoly1(terms)
 
 
 def specialize_homfly_to_jones(p: LaurentPoly2) -> LaurentPoly1:
     """Substitute v -> a^2, z -> a - a^-1 into a HOMFLYPT value.
 
-    Negative z-powers are resolved by clearing z-denominators first and
-    dividing exactly at the end; an inexact division signals that the input
-    was not a genuine link polynomial.  The terms are grouped by z-degree,
-    and each row is multiplied once by a running power of a - a^-1.
+    With k = max(0, -min e_z), lo the least v-exponent and top the largest
+    z-exponent, W(a) = a^(top - 2 lo) (a^2 - 1)^k V(a) is the polynomial
+    sum of c a^(2(e_v - lo) + top - e_z) (a^2 - 1)^(e_z + k).  W(2^S) is
+    built by Horner's rule in a^2 - 1 over the z-rows, top row first, each
+    step a shift and a subtract, and divided by D(2^S) = (2^(2S) - 1)^k.
+
+    D is monic, so W = Q D + R over Z[a] with deg R < 2k, and V is Q
+    shifted by a^(2 lo - top).  Dividing by a^2 - 1 from the top keeps every
+    quotient and remainder coefficient at most the 1-norm of the dividend,
+    so with n = deg W the k divisions give |Q| <= |W|_1 n^(k-1) and
+    |R| <= k (2n)^(k-1) |W|_1, where |W|_1 <= sum |c| 2^(top + k).  S is
+    taken with 2^(S-2) above both bounds (n is over-estimated, which only
+    widens the slots).  Then Q's digits fit their slots, and a nonzero R
+    gives 0 < |R(2^S)| < D(2^S), as its top digit dominates, so the
+    integer remainder is nonzero: the value was not a link polynomial, and
+    ``SelfCheckError`` is raised.
     """
-    if p.is_zero:
+    terms = p.terms()
+    if not terms:
         return LaurentPoly1()
-    u = LaurentPoly1({1: 1, -1: -1})
-    rows = {}
-    for (ev, ez), c in p.terms().items():
-        rows.setdefault(ez, {})[2 * ev] = c
-    k = max(0, -min(rows))
-    num = LaurentPoly1()
-    power, at = LaurentPoly1({0: 1}), -k
-    for ez in sorted(rows):
-        power = power * u ** (ez - at)
-        at = ez
-        num = num + LaurentPoly1(rows[ez]) * power
-    return num.exact_div(u**k)
+    lo, hi = min(ev for ev, _ in terms), max(ev for ev, _ in terms)
+    top, k = max(ez for _, ez in terms), max(0, -min(ez for _, ez in terms))
+    n = 2 * (hi - lo + top + k)  # at least deg W
+    bits = sum(map(abs, terms.values())).bit_length() + top + k
+    bits += max(k - 1, 0) * (2 * n).bit_length() + k.bit_length()
+    s = 8 * -(-(bits + 2) // 8)
+    rows = [0] * (top + k + 1)
+    for (ev, ez), c in terms.items():
+        rows[top - ez] += c << s * (2 * (ev - lo) + top - ez)
+    w = 0
+    for row in rows:
+        w = (w << 2 * s) - w + row
+    q, r = divmod(w, ((1 << 2 * s) - 1) ** k)
+    if r:
+        raise SelfCheckError("HOMFLYPT value does not specialize to a Jones polynomial")
+    return _from_digits(q, s, 2 * lo - top, 1)

@@ -1,13 +1,14 @@
 """Sparse Laurent polynomials over Python integers, in one or two variables.
 
 ``LaurentPoly2`` is a polynomial in v and z (the HOMFLYPT ring);
-``LaurentPoly1`` is a polynomial in one variable ``a`` (the Jones ring of
-the bracket oracle).  Both are immutable and hashable and share one sparse
-core: a dict mapping exponent keys to nonzero int coefficients, where a key
-is an int for one variable and a pair (e_v, e_z) for two.  The zero
-polynomial stores no terms, and two polynomials are equal iff their term
-dicts are equal.  The operations are ``+``, ``*`` and ``**``, and
-``exact_div`` on ``LaurentPoly1``; there is no subtraction or negation.
+``LaurentPoly1`` is a polynomial in one variable ``a``, the value type of
+the Jones polynomials that ``jones.py`` returns (it computes them on packed
+ints, not with this arithmetic).  Both are immutable and hashable and share
+one sparse core: a dict mapping exponent keys to nonzero int coefficients,
+where a key is an int for one variable and a pair (e_v, e_z) for two.  The
+zero polynomial stores no terms, and two polynomials are equal iff their
+term dicts are equal.  The operations are ``+``, ``*`` and ``**``; there is
+no division, subtraction or negation.
 Polynomials of the two types never mix: adding or multiplying one with the
 other raises ``TypeError``; ints mix with both in ``+``, ``*`` and ``==``.
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 import functools
 import re
 
-from .errors import SkeinKitError, ZeroPolynomialError
+from .errors import ZeroPolynomialError
 
 __all__ = ["LaurentPoly1", "LaurentPoly2", "DELTA", "ZERO", "ONE", "delta_power"]
 
@@ -135,7 +136,8 @@ class _SparseLaurent:
 
 
 class LaurentPoly1(_SparseLaurent):
-    """One-variable Laurent polynomial over Python ints (variable ``a``)."""
+    """One-variable Laurent polynomial over Python ints (variable ``a``): a
+    Jones value."""
 
     __slots__ = ()
     _CONST = 0
@@ -144,6 +146,8 @@ class LaurentPoly1(_SparseLaurent):
     def _in_range(data: dict) -> bool:
         return not data or (-_EXP_BOUND < min(data) and max(data) < _EXP_BOUND)
 
+    # The package multiplies no Jones values; the tests do, and the
+    # benchmark's tracer wraps this method by name.
     def __mul__(self, other) -> "LaurentPoly1":
         other = self._coerce(other)
         if other is NotImplemented:
@@ -160,38 +164,6 @@ class LaurentPoly1(_SparseLaurent):
         return self._raw(data)
 
     __rmul__ = __mul__
-
-    def exact_div(self, divisor: "LaurentPoly1") -> "LaurentPoly1":
-        """Exact quotient; raises if the division leaves a remainder.
-
-        Laurent division from the top descends forever on inexact input,
-        so the quotient exponent is bounded below by the difference of the
-        bottom degrees: falling past it proves the division inexact.
-        """
-        if divisor.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero:
-            return LaurentPoly1()
-        rem = dict(self._terms)
-        d_top = max(divisor._terms)
-        d_lead = divisor._terms[d_top]
-        e_min = min(self._terms) - min(divisor._terms)
-        quot = {}
-        while rem:
-            top = max(rem)
-            c, r = divmod(rem[top], d_lead)
-            e = top - d_top
-            if r or e < e_min:
-                raise SkeinKitError("inexact Laurent division")
-            quot[e] = c
-            for de, dc in divisor._terms.items():
-                key = de + e
-                c2 = rem.get(key, 0) - dc * c
-                if c2:
-                    rem[key] = c2
-                elif key in rem:
-                    del rem[key]
-        return self._raw(quot)
 
     def format_text(self) -> str:
         if not self._terms:

@@ -261,6 +261,22 @@ def test_wrong_cache_value_exits_1_without_traceback(tmp_path, capsys):
         assert err == f"error: {error}\n"
 
 
+def test_wrong_cache_value_within_the_self_check_fails_the_jones_check(tmp_path, capsys):
+    # The unknot's value for the trefoil is nonzero, within the Morton bound
+    # and of the right parity: the self-check passes it, the bracket does not.
+    from skeinkit.diagram import from_braid_closure
+    from skeinkit.braid import BraidWord
+
+    code = from_braid_closure(BraidWord(2, (1, 1, 1))).canonical_code()
+    cache = tmp_path / "c.cache"
+    cache.write_text(f"{code.hex()}\t1*v^0*z^0\n")
+    status, out, err = run(capsys, "homfly", "--braid", "2: 1 1 1", "--cache", str(cache), "--check", "jones")
+    assert status == 1
+    assert "  P = 1*v^0*z^0\n" in out
+    assert "[FAIL] jones-specialization-equals-bracket" in out
+    assert err == ""
+
+
 @pytest.mark.parametrize("line", ["zz\t1*v^0*z^0", "abcd\tnot a poly"])
 def test_corrupt_cache_line_exits_1(tmp_path, capsys, line):
     cache = tmp_path / "c.cache"

@@ -2,7 +2,9 @@
 module-level function and private method of the package has a caller in the
 package, every public one is read outside the tests, the three engines
 import none of each other, the package has no ``assert`` statement, only
-``suites._report`` catches a budget error, and every error class is raised."""
+``suites._report`` catches a budget error, and every error class is raised,
+directly or through a subclass.  The public functions that only the tests or
+only the benchmark's hooks read are listed, each with a reason."""
 
 import ast
 from pathlib import Path
@@ -17,6 +19,13 @@ TEST_ONLY_API = {
     "BraidWord.closure_component_count": "checks the closure's component count",
     "LinkDiagram.to_pd_text": "checks the PD convention by a round trip",
     "InvariantReport.content_key": "the determinism key named in the README",
+}
+
+# Public API that nothing in the package or the benchmark calls, kept alive
+# only because ``bench/tracing.py`` wraps it by name.
+HOOK_ONLY_API = {
+    "LinkDiagram.switch_crossing": "a traced layer; the skein engine switches on a crossing list",
+    "LinkDiagram.smooth_crossing": "a traced layer; the skein engine smooths by smooth_and_simplify",
 }
 
 
@@ -154,6 +163,32 @@ def test_no_public_functions_read_only_by_tests():
     assert not unread, "public functions read only by tests:\n" + "\n".join(unread)
 
 
+def hook_only_functions(defining: dict, reading: dict, hooks) -> list:
+    """Qualified names of the public functions in ``defining`` that no tree in
+    ``reading`` reads and whose name is in ``hooks``."""
+    unread = (line.rpartition(": ")[2] for line in unread_public_functions(defining, reading))
+    return sorted(name for name in unread if name.rpartition(".")[2] in hooks)
+
+
+def test_hook_only_functions_are_caught():
+    defining = {
+        "a": ast.parse(
+            "def hooked(): pass\ndef called(): pass\ndef dead(): pass\n"
+            "class K:\n    def traced(self): pass\n    def _private(self): pass\n"
+        )
+    }
+    reading = {**defining, "b": ast.parse("from a import called\n")}
+    hooks = {"hooked", "called", "traced", "_private"}
+    assert hook_only_functions(defining, reading, hooks) == ["K.traced", "hooked"]
+
+
+def test_hook_only_api_is_listed():
+    package = parse_folder("src")
+    hooks = {path.rpartition(".")[2] for entries in hook_lists().values() for _, _, path, _ in entries}
+    found = hook_only_functions(package, {**package, **parse_folder("bench")}, hooks)
+    assert found == sorted(HOOK_ONLY_API), "public functions that only bench hooks read"
+
+
 # The engines' agreement is evidence only while they share no algebra: none
 # imports another, nor a layer built on top of them.
 ENGINES = ("skein", "hecke", "jones")
@@ -286,8 +321,29 @@ def test_raised_names_are_caught():
     assert error_classes(ast.parse("class A(Exception):\n    class Inner: pass\nB = A\n")) == ["A"]
 
 
+def with_base_classes(tree: ast.Module, names: set) -> set:
+    """``names`` and the bases, at any depth, of the classes of ``tree`` in
+    ``names``: raising a class raises each of its bases too."""
+    bases = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+             for node in tree.body if isinstance(node, ast.ClassDef)}
+    found, stack = set(names), list(names)
+    while stack:
+        for base in bases.get(stack.pop(), ()):
+            if base not in found:
+                found.add(base)
+                stack.append(base)
+    return found
+
+
+def test_base_classes_are_raised_through_subclasses():
+    tree = ast.parse("class A(Exception): pass\nclass B(A): pass\nclass C(B): pass\nclass D(A): pass\n")
+    assert with_base_classes(tree, {"C", "x"}) == {"C", "B", "A", "Exception", "x"}
+    assert with_base_classes(tree, {"D"}) == {"D", "A", "Exception"}
+
+
 def test_every_error_class_is_raised():
     package = parse_folder("src")
-    raised = raised_names(package)
-    unraised = [name for name in error_classes(package["src/skeinkit/errors.py"]) if name not in raised]
+    errors = package["src/skeinkit/errors.py"]
+    raised = with_base_classes(errors, raised_names(package))
+    unraised = [name for name in error_classes(errors) if name not in raised]
     assert not unraised, "error classes that nothing in src/ raises: " + ", ".join(unraised)

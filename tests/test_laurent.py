@@ -120,13 +120,6 @@ def test_ring_axioms(pqr):
     assert p ** 2 == p * p
 
 
-@given(poly1_strategy(), poly1_strategy())
-@settings(max_examples=150, deadline=None)
-def test_exact_div_inverts_multiplication(p, q):
-    if not q.is_zero:
-        assert (p * q).exact_div(q) == p
-
-
 def test_mixed_key_shapes_refused_and_ints_coerced():
     a = LaurentPoly1({1: 1})
     for op in (
