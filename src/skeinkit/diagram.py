@@ -22,21 +22,27 @@ under-in, over-out, under-out) if s = +1 and (over-in, under-out, over-out,
 under-in) if s = -1.
 
 ``LinkDiagram`` values are immutable; skein moves return fresh diagrams.
-Inside a move, the private working form ``_WorkingDiagram`` (a crossing
-list with tombstones and arc -> port maps) merges arcs in place, so a
-chain of Reidemeister moves costs what the moves touch, not a rebuild per
-move.  The skein engine keeps one working form per node: it switches
+Inside a move, the private working form ``_WorkingDiagram`` (a list of
+plain 5-tuples with tombstones, and arc -> port maps) merges arcs in place,
+so a chain of Reidemeister moves costs what the moves touch, not a rebuild
+per move.  The skein engine keeps one working form per node: it switches
 crossings in place and smooths each bad crossing on a copy
-(``_WorkingDiagram.smoothed``).
+(``_WorkingDiagram.smoothed``).  The form also holds its kinks and bigons,
+which each switch updates, so they are carried along the node's switch
+chain and each copy's Reidemeister pass starts from them.  A smoothing
+returns its exact crossing tuple, which the engine can look up before any
+``LinkDiagram`` is built; ``Crossing`` values are built only then, for
+the crossings that moves rebuilt.
 
 ``LinkDiagram(...)`` validates its input.  A diagram that the core derives
 from a valid one (a smoothing, a ``simplify`` result, a ``split_pieces``
 piece) is built by ``LinkDiagram._trusted``, which only builds the head
-map.  Its precondition is that the crossings are ``Crossing`` values with
-signs +1 or -1, and that every arc is the head of exactly one port and the
-tail of exactly one port; the moves keep that (switching keeps each arc's
-ends, and a splice gives each merged class one head and one tail or closes
-it into a loop).
+map and makes each plain 5-tuple a ``Crossing``.  Its precondition is that
+the crossings are 5-tuples in ``Crossing`` field order with signs +1 or
+-1, and that every arc is the head of exactly one port and the tail of
+exactly one port; the moves keep that (switching keeps each arc's ends,
+and a splice gives each merged class one head and one tail or closes it
+into a loop).
 """
 
 from __future__ import annotations
@@ -66,6 +72,7 @@ _PD_X_RE = re.compile(
     r"X\(\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*;\s*([+-]?1)\s*\)"
 )
 _PD_L_RE = re.compile(r"L\(\s*(\d+)\s*\)")
+_as_crossing = tuple.__new__  # (Crossing, 5-tuple) -> Crossing, without a field check
 
 
 class Crossing(NamedTuple):
@@ -83,32 +90,43 @@ class _WorkingDiagram:
     """A crossing list that moves in place.
 
     The working form behind ``simplify``, ``smooth_crossing`` and the skein
-    engine's nodes.  Deleted crossings leave ``None`` behind, so every
-    live crossing keeps its position.  ``head`` and ``tail`` map each arc
-    to the (crossing, role) port where it ends and where it starts.  The
-    one move is ``splice``, which relabels only the crossings that carry a
-    merged arc; ``smoothed`` and ``reduce`` are made of it.  Three rules
-    keep the results equal to a rebuild per move, and so keep the arc
-    labels that fix the skein basepoints:
+    engine's nodes.  Its crossings are 5-tuples in ``Crossing`` field order:
+    a move builds plain tuples, and ``LinkDiagram._trusted`` makes them
+    ``Crossing`` values once, when a result leaves as a ``LinkDiagram``.
+    Deleted crossings leave ``None`` behind, so every live crossing keeps
+    its position.  ``head`` and ``tail`` map each arc to the (crossing,
+    role) port where it ends and where it starts.  The one move is
+    ``splice``, which relabels only the crossings that carry a merged arc;
+    ``smoothed`` and ``reduce`` are made of it.  Three rules keep the
+    results equal to a rebuild per move, and so keep the arc labels that
+    fix the skein basepoints:
 
     * each move is the first R1 kink by crossing position, otherwise the
       first R2 bigon;
     * a merged arc class takes its smallest arc id;
     * loops are counted per move: a class left with no port closes a loop
       only in the move that merged it.
+
+    ``kinks`` and ``bigons`` hold the crossings that are a kink or a bigon.
+    A form built from a reduced diagram starts with both empty and
+    correct, and ``switch`` reclassifies the crossings it can change, so a
+    skein node carries both sets along its switch chain and each smoothed
+    copy starts from them.
     """
 
-    __slots__ = ("cs", "head", "tail")
+    __slots__ = ("cs", "head", "tail", "kinks", "bigons")
 
     def __init__(self, crossings):
         self.cs = list(crossings)
         head = self.head = {}
         tail = self.tail = {}
-        for ci, c in enumerate(self.cs):
-            head[c.over_in] = (ci, OVER)
-            head[c.under_in] = (ci, UNDER)
-            tail[c.over_out] = (ci, OVER)
-            tail[c.under_out] = (ci, UNDER)
+        for ci, (over_in, over_out, under_in, under_out, _) in enumerate(self.cs):
+            head[over_in] = (ci, OVER)
+            head[under_in] = (ci, UNDER)
+            tail[over_out] = (ci, OVER)
+            tail[under_out] = (ci, UNDER)
+        self.kinks = set()
+        self.bigons = set()
 
     def splice(self, dead, pairs) -> tuple:
         """Delete the crossings ``dead`` and merge the arcs of each pair.
@@ -124,38 +142,42 @@ class _WorkingDiagram:
             over_in, over_out, under_in, under_out, _ = cs[ci]
             cs[ci] = None
             del head[over_in], head[under_in], tail[over_out], tail[under_out]
-        if len(pairs) == 2 and not set(pairs[0]).isdisjoint(pairs[1]):
-            pairs = (set(pairs[0]).union(pairs[1]),)
+        if len(pairs) == 2:
+            (a, b), second = pairs
+            if a in second or b in second:
+                pairs = ({a, b, *second},)
         loops = 0
         touched = []
         for members in pairs:
-            ends = []
-            starts = []
+            end = start = None
+            heads = tails = 0
             for a in members:
                 port = head.pop(a, None)
                 if port is not None:
-                    ends.append(port)
+                    end = port
+                    heads += 1
                 port = tail.pop(a, None)
                 if port is not None:
-                    starts.append(port)
-            if not ends and not starts:
+                    start = port
+                    tails += 1
+            if not heads and not tails:
                 loops += 1
                 continue
             root = min(members)
-            if len(ends) != 1 or len(starts) != 1:
-                raise DiagramError(f"arc {root} has {len(ends)} heads and {len(starts)} tails")
-            ci, role = head[root] = ends[0]
+            if heads != 1 or tails != 1:
+                raise DiagramError(f"arc {root} has {heads} heads and {tails} tails")
+            ci, role = head[root] = end
             over_in, over_out, under_in, under_out, sign = cs[ci]
             if role == OVER and over_in != root:
-                cs[ci] = Crossing(root, over_out, under_in, under_out, sign)
+                cs[ci] = (root, over_out, under_in, under_out, sign)
             elif role == UNDER and under_in != root:
-                cs[ci] = Crossing(over_in, over_out, root, under_out, sign)
-            cj, role = tail[root] = starts[0]
+                cs[ci] = (over_in, over_out, root, under_out, sign)
+            cj, role = tail[root] = start
             over_in, over_out, under_in, under_out, sign = cs[cj]
             if role == OVER and over_out != root:
-                cs[cj] = Crossing(over_in, root, under_in, under_out, sign)
+                cs[cj] = (over_in, root, under_in, under_out, sign)
             elif role == UNDER and under_out != root:
-                cs[cj] = Crossing(over_in, over_out, under_in, root, sign)
+                cs[cj] = (over_in, over_out, under_in, root, sign)
             touched += (ci, cj)
         return loops, touched
 
@@ -166,115 +188,124 @@ class _WorkingDiagram:
         cs, tail = self.cs, self.tail
         near = set(touched)
         for e in touched:
-            p, role = tail[cs[e].over_in]
+            p, role = tail[cs[e][0]]
             if role == OVER:
                 near.add(p)
         return near
 
+    def sign(self, x: int) -> int:
+        return self.cs[x][4]
+
     def smooth(self, x: int) -> tuple:
         """The oriented smoothing of crossing x; returns (loops, touched)."""
-        c = self.cs[x]
-        return self.splice((x,), ((c.over_in, c.under_out), (c.under_in, c.over_out)))
+        over_in, over_out, under_in, under_out, _ = self.cs[x]
+        return self.splice((x,), ((over_in, under_out), (under_in, over_out)))
 
-    def switch(self, x: int) -> tuple:
+    def switch(self, x: int) -> None:
         """Switch crossing x in place: one crossing and its four ports.
 
         A switch keeps every kink a kink (it swaps the two conditions of
         one), and it can change bigon status only at x and at the crossings
-        whose strands run into x.  Returns those crossings.
+        whose strands run into x; those three are reclassified.
         """
         cs, head, tail = self.cs, self.head, self.tail
-        c = cs[x] = cs[x].switched()
-        head[c.over_in] = (x, OVER)
-        head[c.under_in] = (x, UNDER)
-        tail[c.over_out] = (x, OVER)
-        tail[c.under_out] = (x, UNDER)
-        return x, tail[c.over_in][0], tail[c.under_in][0]
+        over_in, over_out, under_in, under_out, sign = cs[x]
+        cs[x] = (under_in, under_out, over_in, over_out, -sign)
+        head[under_in] = (x, OVER)
+        head[over_in] = (x, UNDER)
+        tail[under_out] = (x, OVER)
+        tail[over_out] = (x, UNDER)
+        self.classify((x, tail[under_in][0], tail[over_in][0]))
 
-    def smoothed(self, x: int, recheck) -> tuple:
-        """Smooth crossing x and reduce, on a copy: (diagram, removed loops).
+    def smoothed(self, x: int) -> tuple:
+        """Smooth crossing x and reduce, on a copy: (crossings, removed loops).
 
-        Precondition: this form was built from a reduced diagram (no kink,
-        no bigon) and changed only by ``switch``, and ``recheck`` holds
-        every crossing those switches returned.  Then the crossings in
-        ``recheck``, the crossings the smoothing touched and their
-        over-predecessors are the only ones that can be a kink or a bigon,
-        so ``reduce`` starts from them and makes the same moves as after a
-        scan of the whole diagram.  This form is left as it was.
+        The crossings are the result's exact tuple, ready for a table
+        lookup or ``LinkDiagram._trusted``.  Precondition: ``kinks`` and
+        ``bigons`` are correct, as they are along a switch chain from a
+        reduced diagram.  Then only the crossings the smoothing touched
+        and their over-predecessors can change status, so ``reduce``
+        starts from the two sets and those crossings, and makes the same
+        moves as after a scan of the whole diagram.  This form is left as
+        it was.
         """
         w = _WorkingDiagram.__new__(_WorkingDiagram)
         w.cs = self.cs[:]
         w.head = self.head.copy()
         w.tail = self.tail.copy()
+        w.kinks = self.kinks.copy()
+        w.bigons = self.bigons.copy()
         loops, touched = w.smooth(x)
-        loops += w.reduce(w._around(touched).union(recheck))
-        return LinkDiagram._trusted(w.crossings()), loops
+        todo = w._around(touched)
+        todo.add(x)
+        loops += w.reduce(todo)
+        return w.crossings(), loops
 
-    def reduce(self, seed) -> int:
+    def classify(self, indices) -> None:
+        """Bring ``kinks`` and ``bigons`` up to date at the given crossings."""
+        cs, head, kinks, bigons = self.cs, self.head, self.kinks, self.bigons
+        for ci in indices:
+            c = cs[ci]
+            if c is None:
+                kinks.discard(ci)
+                bigons.discard(ci)
+                continue
+            over_in, over_out, under_in, under_out, _ = c
+            if over_out == under_in or under_out == over_in:
+                kinks.add(ci)
+            else:
+                kinks.discard(ci)
+            dj, role = head[over_out]
+            if role == OVER and dj != ci:
+                d = cs[dj]
+                if under_out == d[2] or d[3] == under_in:
+                    bigons.add(ci)
+                    continue
+            bigons.discard(ci)
+
+    def reduce(self, todo) -> int:
         """Apply R1/R2 moves until none is left; returns the loops they close.
 
-        ``seed`` must hold every crossing that is a kink or a bigon now.
-        The move is always the first kink by crossing position, otherwise
-        the first bigon, as a scan of the whole diagram would find.  After
-        a move only the crossings ``_around`` the touched ones can change
-        their kink or bigon status.
+        ``kinks`` and ``bigons`` must be correct at every crossing outside
+        ``todo``.  The move is always the first kink by crossing position,
+        otherwise the first bigon, as a scan of the whole diagram would
+        find.  After a move only the crossings ``_around`` the touched ones
+        can change their kink or bigon status.
         """
-        cs, head = self.cs, self.head
-        kinks = set()
-        bigons = set()
-
-        def classify(indices):
-            for ci in indices:
-                c = cs[ci]
-                if c is None:
-                    kinks.discard(ci)
-                    bigons.discard(ci)
-                    continue
-                over_in, over_out, under_in, under_out, _ = c
-                if over_out == under_in or under_out == over_in:
-                    kinks.add(ci)
-                else:
-                    kinks.discard(ci)
-                dj, role = head[over_out]
-                if role == OVER and dj != ci:
-                    d = cs[dj]
-                    if under_out == d.under_in or d.under_out == under_in:
-                        bigons.add(ci)
-                        continue
-                bigons.discard(ci)
-
-        classify(seed)
+        cs, head, kinks, bigons = self.cs, self.head, self.kinks, self.bigons
         loops = 0
-        while kinks or bigons:
+        while True:
+            self.classify(todo)
             if kinks:
                 ci = min(kinks)
-                c = cs[ci]
+                over_in, over_out, under_in, under_out, _ = cs[ci]
                 dead = (ci,)
-                if c.over_out == c.under_in:
-                    pairs = ((c.over_in, c.under_out),)
+                if over_out == under_in:
+                    pairs = ((over_in, under_out),)
                 else:
-                    pairs = ((c.under_in, c.over_out),)
-            else:
+                    pairs = ((under_in, over_out),)
+            elif bigons:
                 ci = min(bigons)
-                c = cs[ci]
-                dj = head[c.over_out][0]
-                d = cs[dj]
+                over_in, over_out, under_in, under_out, _ = cs[ci]
+                dj = head[over_out][0]
+                d_over_in, d_over_out, d_under_in, d_under_out, _ = cs[dj]
                 dead = (ci, dj)
-                if c.under_out == d.under_in:
+                if under_out == d_under_in:
                     # coherent bigon: both strands travel ci -> dj
-                    pairs = ((c.over_in, d.over_out), (c.under_in, d.under_out))
+                    pairs = ((over_in, d_over_out), (under_in, d_under_out))
                 else:
                     # incoherent bigon: under strand travels dj -> ci
-                    pairs = ((c.over_in, d.over_out), (d.under_in, c.under_out))
+                    pairs = ((over_in, d_over_out), (d_under_in, under_out))
+            else:
+                return loops
             closed, touched = self.splice(dead, pairs)
             loops += closed
-            again = self._around(touched)
-            again.update(dead)
-            classify(again)
-        return loops
+            todo = self._around(touched)
+            todo.update(dead)
 
-    def crossings(self) -> list:
-        return [c for c in self.cs if c is not None]
+    def crossings(self) -> tuple:
+        # a deleted crossing is None, a live one a nonempty tuple
+        return tuple(filter(None, self.cs))
 
 
 class DiagramStats(NamedTuple):
@@ -326,9 +357,10 @@ class LinkDiagram:
     def _trusted(cls, crossings, free_loops: int = 0) -> "LinkDiagram":
         """A diagram derived in the core from a valid one: only the head map
         is built, with none of the checks (precondition in the module
-        docstring)."""
+        docstring).  Each plain 5-tuple among the crossings becomes a
+        ``Crossing`` here, the one place a working form's crossings leave."""
         d = object.__new__(cls)
-        crossings = tuple(crossings)
+        crossings = tuple([c if type(c) is Crossing else _as_crossing(Crossing, c) for c in crossings])
         head = {}
         for ci, (over_in, _, under_in, _, _) in enumerate(crossings):
             head[over_in] = (ci, OVER)

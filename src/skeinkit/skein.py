@@ -21,14 +21,21 @@ termination unconditional.
 Each node builds one working form of its piece (``diagram._WorkingDiagram``,
 the arc -> port maps built once).  The chain switches its crossings in that
 form in place, one crossing and four ports per switch, and each bad
-crossing is smoothed and simplified on a copy; only the simplified result
-becomes a ``LinkDiagram``.  The piece is already reduced, a switch keeps
-every kink a kink, and a switch changes bigon status only at the switched
-crossing and at the crossings whose strands run into it.  So the copy's
-Reidemeister pass starts from those crossings and from the ones the
-smoothing touched (with their over-predecessors), not from a scan of every
-crossing, and it makes the same moves in the same order: the arc labels, the
-children and the node counts are those of a full scan.
+crossing is smoothed and simplified on a copy.  The piece is already
+reduced, a switch keeps every kink a kink, and a switch changes bigon
+status only at the switched crossing and at the crossings whose strands run
+into it.  So the form carries its kink and bigon sets along the chain, each
+switch reclassifies just those crossings, and the copy's Reidemeister pass
+starts from the sets and from the crossings the smoothing touched (with
+their over-predecessors), not from a scan of every crossing.  It makes the
+same moves in the same order: the arc labels, the children and the node
+counts are those of a full scan.
+
+A smoothing result leaves the working form as its exact crossing tuple, and
+``_decompose`` looks that tuple up in the code table (below) before any
+``LinkDiagram`` is built: a result the table knows is one piece with a
+known code, and it becomes a ``LinkDiagram`` only if it is expanded, never
+for a memo hit.  An empty result is an unlink and needs no diagram either.
 
 The pieces of a diagram come in order of their first crossing, each with
 its crossings in diagram order (``LinkDiagram.split_pieces``), and become
@@ -67,19 +74,23 @@ never overwritten with a different value.
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 import time
 
 from .diagram import LinkDiagram, _WorkingDiagram
 from .errors import BudgetExceededError, CacheCorruptionError, DiagramError, SelfCheckError
-from .laurent import ONE, LaurentPoly2, delta_power
+from .laurent import LaurentPoly2, delta_power
 
 __all__ = ["SkeinEngine"]
 
-# (smoothed coefficient, switched coefficient) of a positive / negative crossing
-_POS = (LaurentPoly2.monomial(1, v=1, z=1), LaurentPoly2.monomial(1, v=2))
-_NEG = (LaurentPoly2.monomial(-1, v=-1, z=1), LaurentPoly2.monomial(1, v=-2))
+# Every coefficient of a switch chain is a monomial.  After the switches of
+# p positive and n negative crossings the chain's prefix is v^k, k = 2(p - n),
+# and the next bad crossing, of sign s, adds s v^(k+s) z times its smoothing.
+# Polynomials are immutable, so one cached monomial serves every chain; |k|
+# is at most twice the crossing count, which keeps the cache small.
+_monomial = functools.lru_cache(maxsize=None)(LaurentPoly2.monomial)
 
 # Entries in the crossings -> canonical code table before it is cleared.  A
 # satellite-cold pass of the benchmark meets about 2,100 distinct labelled
@@ -195,9 +206,11 @@ class SkeinEngine:
         _self_check(d, result)
         return result
 
-    def _resolve(self, piece0: LinkDiagram, code0: bytes, t0: float) -> None:
-        """Evaluate one piece into the memo; ``t0`` is when homfly() began."""
+    def _resolve(self, piece0, code0: bytes, t0: float) -> None:
+        """Evaluate one piece of ``_decompose`` into the memo; ``t0`` is when
+        homfly() began."""
         memo = self.memo
+        codes = self._codes
         value_of = self.value
         if code0 in memo:
             self.memo_hits += 1
@@ -231,6 +244,8 @@ class SkeinEngine:
                     elapsed=time.monotonic() - t0,
                     memo_size=len(memo),
                 )
+            if type(piece) is tuple:  # known to the code table, not built until now
+                piece = LinkDiagram._trusted(piece)
             bad = piece.non_descending_crossings()
             if not bad:
                 self._memo_write(code, delta_power(piece.component_count() - 1))
@@ -239,35 +254,46 @@ class SkeinEngine:
             # Unroll the switch chain on one working form: each bad
             # crossing contributes its smoothed diagram, and the fully
             # switched end is an unlink.
-            prefix = ONE
+            k = 0  # the prefix is v^k (see _monomial)
             terms = []
             w = _WorkingDiagram(piece.crossings)
-            recheck = set()
             for x in bad:
-                exponent, children = _decompose(*w.smoothed(x, recheck), self._codes)
-                smooth, switch = _POS if w.cs[x].sign > 0 else _NEG
-                terms.append((prefix * smooth, exponent, [c for c, _ in children]))
-                prefix = prefix * switch
-                recheck.update(w.switch(x))
+                exponent, children = _decompose(*w.smoothed(x), codes)
+                sign = w.sign(x)
+                terms.append((_monomial(sign, k + sign, 1), exponent, [c for c, _ in children]))
+                k += 2 * sign
+                w.switch(x)
                 for child in children:
                     if child[0] in memo:
                         self.memo_hits += 1
                     else:
                         stack.append(child)
-            nodes[code] = (prefix * delta_power(piece.component_count() - 1), terms)
+            nodes[code] = (_monomial(1, k, 0) * delta_power(piece.component_count() - 1), terms)
 
 
-def _decompose(core: LinkDiagram, removed: int, codes: dict):
+def _decompose(core, removed: int, codes: dict):
     """Split a simplified diagram that shed ``removed`` loops:
-    P = delta^exponent * product of piece values.  The pieces keep the
-    ``split_pieces`` order, first crossing first; it decides which labelled
-    copy of a repeated code is expanded, and so the node counts (module
-    docstring).  ``codes`` is the engine's crossings -> canonical code table."""
+    P = delta^exponent * product of piece values.
+
+    ``core`` is a ``LinkDiagram`` or, for a smoothing result, its crossing
+    tuple.  Returns (exponent, [(code, piece)]).  ``codes`` is the engine's
+    crossings -> canonical code table, and it is asked for the whole
+    crossing tuple first: a diagram it knows is one piece, returned as
+    ``core`` itself, so no ``LinkDiagram`` is built for a tuple here.  Any
+    other piece is a ``LinkDiagram``.  The pieces keep the
+    ``split_pieces`` order, first crossing first; it decides which
+    labelled copy of a repeated code is expanded, and so the node counts
+    (module docstring).
+    """
+    crossings = core if type(core) is tuple else core.crossings
+    if not crossings:
+        return removed - 1, []
+    code = codes.get(crossings)
+    if code is not None:
+        return removed, [(code, core)]
+    if type(core) is tuple:
+        core = LinkDiagram._trusted(core)
     pieces = core.split_pieces()
-    if pieces:
-        exponent = removed + len(pieces) - 1
-    else:
-        exponent = removed - 1
     coded = []
     for p in pieces:
         code = codes.get(p.crossings)
@@ -276,7 +302,7 @@ def _decompose(core: LinkDiagram, removed: int, codes: dict):
                 codes.clear()
             code = codes[p.crossings] = p.canonical_code()
         coded.append((code, p))
-    return exponent, coded
+    return removed + len(pieces) - 1, coded
 
 
 def _self_check(d: LinkDiagram, p: LaurentPoly2) -> None:

@@ -468,9 +468,12 @@ def test_simplify_matches_sequential_oracle(d):
 
 
 def assert_form_is(w, cs):
-    """The working form holds exactly ``cs``, with the port maps of a rebuild."""
+    """The working form holds exactly ``cs``, with the port maps of a rebuild
+    and the kinks and bigons of a full classification."""
     fresh = _WorkingDiagram(cs)
+    fresh.classify(range(len(cs)))
     assert (w.cs, w.head, w.tail) == (fresh.cs, fresh.head, fresh.tail)
+    assert (w.kinks, w.bigons) == (fresh.kinks, fresh.bigons)
 
 
 @given(diagrams, st.data())
@@ -493,7 +496,6 @@ def test_smoothing_matches_sequential_oracle(d, data):
     if not n:
         return
     w = _WorkingDiagram(core.crossings)
-    recheck = set()
     flips = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
     cs = list(core.crossings)
     for step in range(len(flips) + 1):
@@ -501,14 +503,45 @@ def test_smoothing_matches_sequential_oracle(d, data):
             smoothed = LinkDiagram(cs).smooth_crossing(x)
             want = oracle_smooth(LinkDiagram(cs), x)
             assert (smoothed.crossings, smoothed.free_loops) == (want.crossings, want.free_loops)
-            got, removed = w.smoothed(x, recheck)
+            got, removed = w.smoothed(x)
             want_core, want_removed = oracle_simplify(want)
-            assert (got.crossings, got.free_loops, removed) == (want_core.crossings, 0, want_removed)
+            assert (got, removed) == (want_core.crossings, want_removed)
             assert_form_is(w, cs)
         if step < len(flips):
-            recheck.update(w.switch(flips[step]))
+            w.switch(flips[step])
             cs[flips[step]] = cs[flips[step]].switched()
     assert_form_is(w, switched(core, flips))
+
+
+@given(diagrams, st.data())
+@settings(max_examples=200, deadline=None)
+def test_moves_commute_with_order_preserving_relabelling(d, data):
+    # Arc ids are any ints (PD text accepts negative ones), and the moves
+    # see them only through the port maps and the smallest id of a merged
+    # class.  So relabelling the arcs by an increasing map into +-10**6
+    # must relabel every simplify and smoothing result the same way.
+    arcs = d.arcs()
+    targets = data.draw(
+        st.lists(st.integers(-10**6, 10**6), min_size=len(arcs), max_size=len(arcs), unique=True)
+    )
+    relabel = dict(zip(arcs, sorted(targets)))
+
+    def moved(crossings):
+        return tuple(Crossing(*(relabel[a] for a in c[:4]), c[4]) for c in crossings)
+
+    core, removed = d.simplify()
+    core_moved, removed_moved = LinkDiagram(moved(d.crossings), d.free_loops).simplify()
+    assert (core_moved.crossings, removed_moved) == (moved(core.crossings), removed)
+    # along a skein node's switch chain, one working form per labelling
+    w = _WorkingDiagram(core.crossings)
+    w_moved = _WorkingDiagram(core_moved.crossings)
+    for x in core.non_descending_crossings():
+        for y in range(len(core.crossings)):
+            got, loops = w_moved.smoothed(y)
+            want, want_loops = w.smoothed(y)
+            assert (got, loops) == (moved(want), want_loops)
+        w.switch(x)
+        w_moved.switch(x)
 
 
 def assert_split_matches_oracle(d):
@@ -527,10 +560,9 @@ def test_split_pieces_match_union_find_oracle(d):
     # every smoothing result of a skein node's switch chain
     core, _ = d.simplify()
     w = _WorkingDiagram(core.crossings)
-    recheck = set()
     for x in core.non_descending_crossings():
-        assert_split_matches_oracle(w.smoothed(x, recheck)[0])
-        recheck.update(w.switch(x))
+        assert_split_matches_oracle(LinkDiagram(w.smoothed(x)[0]))
+        w.switch(x)
 
 
 @given(diagrams, st.data())
@@ -574,12 +606,11 @@ def test_multi_component_codes_match_oracle():
         assert d.component_count() >= 2
         # smooth along a switch chain on one working form, as a skein node does
         w = _WorkingDiagram(d.simplify()[0].crossings)
-        recheck = set()
         for x in range(0, len(w.cs), 3):
-            core, _ = w.smoothed(x, recheck)
+            core = LinkDiagram(w.smoothed(x)[0])
             for piece in core.split_pieces():
                 assert piece.canonical_code() == oracle_code(piece)
-            recheck.update(w.switch(x))
+            w.switch(x)
         assert d.canonical_code() == oracle_code(d)
 
 

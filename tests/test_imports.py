@@ -24,8 +24,8 @@ TEST_ONLY_API = {
 # Public API that nothing in the package or the benchmark calls, kept alive
 # only because ``bench/tracing.py`` wraps it by name.
 HOOK_ONLY_API = {
-    "LinkDiagram.switch_crossing": "a traced layer; the skein engine switches on a crossing list",
-    "LinkDiagram.smooth_crossing": "a traced layer; the skein engine smooths by smooth_and_simplify",
+    "LinkDiagram.switch_crossing": "a traced layer; the skein engine switches crossings in the working form",
+    "LinkDiagram.smooth_crossing": "a traced layer; the skein engine smooths on a copy of the working form",
 }
 
 
@@ -347,3 +347,49 @@ def test_every_error_class_is_raised():
     raised = with_base_classes(errors, raised_names(package))
     unraised = [name for name in error_classes(errors) if name not in raised]
     assert not unraised, "error classes that nothing in src/ raises: " + ", ".join(unraised)
+
+
+# The working form's crossing layout (plain 5-tuples, port maps, kink and
+# bigon sets) is private to ``diagram.py``: other modules go through its
+# methods, so the layout can change without them.
+
+
+def working_form_fields(tree: ast.Module) -> tuple:
+    """The ``__slots__`` of the class ``_WorkingDiagram`` in ``tree``."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == "_WorkingDiagram":
+            for stmt in node.body:
+                if isinstance(stmt, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
+                ):
+                    return tuple(ast.literal_eval(stmt.value))
+    return ()
+
+
+def field_reads(trees: dict, fields) -> list:
+    """``module:line: .field`` of each attribute named in ``fields`` that a
+    tree in ``trees`` (a dict of module name -> parsed tree) reads or writes."""
+    return sorted(
+        f"{module}:{node.lineno}: .{node.attr}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in fields
+    )
+
+
+def test_working_form_field_reads_are_caught():
+    diagram = ast.parse(
+        "class _WorkingDiagram:\n    __slots__ = ('cs', 'head')\n"
+        "class Other:\n    __slots__ = ('tail',)\n"
+    )
+    assert working_form_fields(diagram) == ("cs", "head")
+    tree = ast.parse("w.cs[x].sign\ncs = 1\nw.csv\nw.sign(x)\nw.head = {}\nw.tail\n")
+    assert field_reads({"a": tree}, ("cs", "head")) == ["a:1: .cs", "a:5: .head"]
+
+
+def test_only_diagram_reads_the_working_form():
+    package = parse_folder("src")
+    fields = working_form_fields(package.pop("src/skeinkit/diagram.py"))
+    assert "cs" in fields
+    found = field_reads(package, fields)
+    assert not found, "working-form fields read outside diagram.py:\n" + "\n".join(found)

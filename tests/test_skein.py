@@ -1,13 +1,14 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from skeinkit.braid import BraidWord
-from skeinkit.diagram import LinkDiagram, from_braid_closure
+from skeinkit.diagram import Crossing, LinkDiagram, from_braid_closure
 from skeinkit.errors import BudgetExceededError, CacheCorruptionError, DiagramError
 from skeinkit.laurent import DELTA, ONE, ZERO, LaurentPoly2, delta_power
-from skeinkit.satellite import blackboard_double, quasitoric_closure
+from skeinkit.satellite import blackboard_double, canonical_whitehead, quasitoric_closure
 from skeinkit.skein import _CANONICAL_LINE, SkeinEngine
 
 HOPF_PLUS = LaurentPoly2({(1, 1): 1, (1, -1): 1, (3, -1): -1})
@@ -211,16 +212,43 @@ def test_cache_round_trip(tmp_path):
     assert e2.counters()["nodes"] == 0
 
 
+def memo_key_digest(engine) -> str:
+    """sha256 of the engine's memo keys (canonical codes) in sorted order."""
+    return hashlib.sha256(b"".join(sorted(engine.memo))).hexdigest()
+
+
 def test_memo_dag_of_doubled_borromean_rings_is_pinned():
     # A cold engine expands one node per distinct simplified piece, so the
     # node count pins the memo DAG: the simplifier's move order and arc
     # labels (hence the skein basepoints) and the canonical code fix it.
-    # The memo hits count the child edges that point at a finished node.
-    for top_sign, nodes, hits in ((1, 721, 1315), (-1, 696, 1324)):
+    # The memo hits count the child edges that point at a finished node,
+    # and the key digest pins the codes a disk cache is keyed by, so a
+    # cache written by an earlier version still hits.
+    pins = (
+        (1, 721, 1315, "73bf4f922eb55c086a719aaa42de2e57149f5f6e387c04b40db25d134adc510e"),
+        (-1, 696, 1324, "60681f0682eeb1034c892b9ee7c4c7143c8264afe68642fd7fab5f2f2930a432"),
+    )
+    for top_sign, nodes, hits, digest in pins:
         e = SkeinEngine()
         e.homfly(blackboard_double(quasitoric_closure(2, top_sign)))
         assert e.counters()["nodes"] == nodes
         assert e.counters()["memo_hits"] == hits
+        assert memo_key_digest(e) == digest
+
+
+def test_memo_dag_of_mirrored_figure_eight_whitehead_doubles_is_pinned():
+    # The Whitehead doubles of both clasps over the framings w-2..w+2 of the
+    # mirrored figure-eight diagram, in one engine: the companion whose
+    # window costs the most skein nodes in the benchmark's satellite set.
+    word = BraidWord.parse_text("3: -1 2 -1 2")
+    w = word.exponent_sum()
+    companion = from_braid_closure(word)
+    e = SkeinEngine()
+    for m in range(w - 2, w + 3):
+        for clasp in (1, -1):
+            e.homfly(canonical_whitehead(companion, m, clasp))
+    assert (e.counters()["nodes"], e.counters()["memo_hits"]) == (255, 492)
+    assert memo_key_digest(e) == "931c6f2768383301237b78315a2ddf5ad224ab391fda650feb60dcc31f7c847f"
 
 
 def test_trusted_diagrams_equal_validated_ones(monkeypatch):
@@ -238,6 +266,7 @@ def test_trusted_diagrams_equal_validated_ones(monkeypatch):
     SkeinEngine().homfly(blackboard_double(quasitoric_closure(2, 1)))
     assert len(built) > 721
     for d in built:
+        assert all(type(c) is Crossing for c in d.crossings)
         ref = LinkDiagram(d.crossings, d.free_loops)
         assert d.crossings == ref.crossings
         assert d._head == ref._head
