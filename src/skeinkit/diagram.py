@@ -27,11 +27,12 @@ plain 5-tuples with tombstones, and arc -> port maps) merges arcs in place,
 so a chain of Reidemeister moves costs what the moves touch, not a rebuild
 per move.  The skein engine keeps one working form per node: it switches
 crossings in place and smooths each bad crossing on a copy
-(``_WorkingDiagram.smoothed``).  The form also holds its kinks and bigons,
-which each switch updates, so they are carried along the node's switch
-chain and each copy's Reidemeister pass starts from them.  A smoothing
-returns its exact crossing tuple, which the engine can look up before any
-``LinkDiagram`` is built; ``Crossing`` values are built only then, for
+(``_WorkingDiagram.smoothed``), until a switch leaves a bigon and a reduced
+copy ends the chain (``_WorkingDiagram.reduced``).  The form also holds its
+kinks and bigons, which each switch updates, so they are carried along the
+node's switch chain and each copy's Reidemeister pass starts from them.  A
+copy returns its exact crossing tuple, which the engine can look up before
+any ``LinkDiagram`` is built; ``Crossing`` values are built only then, for
 the crossings that moves rebuilt.
 
 ``LinkDiagram(...)`` validates its input.  A diagram that the core derives
@@ -111,7 +112,7 @@ class _WorkingDiagram:
     A form built from a reduced diagram starts with both empty and
     correct, and ``switch`` reclassifies the crossings it can change, so a
     skein node carries both sets along its switch chain and each smoothed
-    copy starts from them.
+    or reduced copy starts from them.
     """
 
     __slots__ = ("cs", "head", "tail", "kinks", "bigons")
@@ -181,18 +182,6 @@ class _WorkingDiagram:
             touched += (ci, cj)
         return loops, touched
 
-    def _around(self, touched) -> set:
-        """The touched crossings and the crossings whose over strand runs
-        into one of them: the crossings whose kink or bigon status a move
-        that touched them can change."""
-        cs, tail = self.cs, self.tail
-        near = set(touched)
-        for e in touched:
-            p, role = tail[cs[e][0]]
-            if role == OVER:
-                near.add(p)
-        return near
-
     def sign(self, x: int) -> int:
         return self.cs[x][4]
 
@@ -201,12 +190,13 @@ class _WorkingDiagram:
         over_in, over_out, under_in, under_out, _ = self.cs[x]
         return self.splice((x,), ((over_in, under_out), (under_in, over_out)))
 
-    def switch(self, x: int) -> None:
+    def switch(self, x: int) -> bool:
         """Switch crossing x in place: one crossing and its four ports.
 
         A switch keeps every kink a kink (it swaps the two conditions of
         one), and it can change bigon status only at x and at the crossings
-        whose strands run into x; those three are reclassified.
+        whose strands run into x; those three are reclassified.  Returns
+        whether the form has a bigon afterwards.
         """
         cs, head, tail = self.cs, self.head, self.tail
         over_in, over_out, under_in, under_out, sign = cs[x]
@@ -216,6 +206,7 @@ class _WorkingDiagram:
         tail[under_out] = (x, OVER)
         tail[over_out] = (x, UNDER)
         self.classify((x, tail[under_in][0], tail[over_in][0]))
+        return bool(self.bigons)
 
     def smoothed(self, x: int) -> tuple:
         """Smooth crossing x and reduce, on a copy: (crossings, removed loops).
@@ -224,22 +215,30 @@ class _WorkingDiagram:
         lookup or ``LinkDiagram._trusted``.  Precondition: ``kinks`` and
         ``bigons`` are correct, as they are along a switch chain from a
         reduced diagram.  Then only the crossings the smoothing touched
-        and their over-predecessors can change status, so ``reduce``
-        starts from the two sets and those crossings, and makes the same
-        moves as after a scan of the whole diagram.  This form is left as
-        it was.
+        can change status, so ``reduce`` starts from the two sets and
+        those crossings, and makes the same moves as after a scan of the
+        whole diagram.  This form is left as it was.
         """
+        w = self._copy()
+        loops, touched = w.smooth(x)
+        loops += w.reduce((x, *touched))
+        return w.crossings(), loops
+
+    def reduced(self) -> tuple:
+        """Reduce a copy: (crossings, removed loops), as ``smoothed`` without
+        the smoothing, and with its precondition."""
+        w = self._copy()
+        loops = w.reduce(())
+        return w.crossings(), loops
+
+    def _copy(self) -> "_WorkingDiagram":
         w = _WorkingDiagram.__new__(_WorkingDiagram)
         w.cs = self.cs[:]
         w.head = self.head.copy()
         w.tail = self.tail.copy()
         w.kinks = self.kinks.copy()
         w.bigons = self.bigons.copy()
-        loops, touched = w.smooth(x)
-        todo = w._around(touched)
-        todo.add(x)
-        loops += w.reduce(todo)
-        return w.crossings(), loops
+        return w
 
     def classify(self, indices) -> None:
         """Bring ``kinks`` and ``bigons`` up to date at the given crossings."""
@@ -269,8 +268,10 @@ class _WorkingDiagram:
         ``kinks`` and ``bigons`` must be correct at every crossing outside
         ``todo``.  The move is always the first kink by crossing position,
         otherwise the first bigon, as a scan of the whole diagram would
-        find.  After a move only the crossings ``_around`` the touched ones
-        can change their kink or bigon status.
+        find.  After a move only the crossings it touched or deleted can
+        change their kink or bigon status: every arc a splice merges has
+        lost a port, so no other crossing carries a relabelled arc, and
+        ``head`` changes only at the ports the splice relabelled.
         """
         cs, head, kinks, bigons = self.cs, self.head, self.kinks, self.bigons
         loops = 0
@@ -300,8 +301,7 @@ class _WorkingDiagram:
                 return loops
             closed, touched = self.splice(dead, pairs)
             loops += closed
-            todo = self._around(touched)
-            todo.update(dead)
+            todo = (*dead, *touched)
 
     def crossings(self) -> tuple:
         # a deleted crossing is None, a live one a nonempty tuple

@@ -12,11 +12,15 @@ current sign (earlier bad crossings already switched):
     negative x:  P(d) = v^-2 P(switched) - v^-1 z P(smoothed)
 
 Switching never changes the traversal, so the whole switch chain of one
-diagram unrolls in a single node: with all bad crossings switched the diagram
-is descending, hence an unlink worth delta^(mu-1), and the remaining children
-are the smoothed diagrams, each one crossing smaller.  Recursion therefore
-descends strictly in crossing count, which makes the memo DAG acyclic and
-termination unconditional.
+diagram unrolls in a single node, and its children are the smoothed
+diagrams, each one crossing smaller.  The chain ends in one of two ways.
+With all bad crossings switched the diagram is descending, hence an unlink
+worth delta^(mu-1).  But a switch that leaves an R2 bigon while bad
+crossings remain ends it early: the switched diagram, reduced, is the
+node's last child, with the chain's prefix as its coefficient and no unlink
+term.  R2 preserves P, and that child is at least two crossings smaller.
+Recursion therefore descends strictly in crossing count, which makes the
+memo DAG acyclic and termination unconditional.
 
 Each node builds one working form of its piece (``diagram._WorkingDiagram``,
 the arc -> port maps built once).  The chain switches its crossings in that
@@ -25,17 +29,19 @@ crossing is smoothed and simplified on a copy.  The piece is already
 reduced, a switch keeps every kink a kink, and a switch changes bigon
 status only at the switched crossing and at the crossings whose strands run
 into it.  So the form carries its kink and bigon sets along the chain, each
-switch reclassifies just those crossings, and the copy's Reidemeister pass
-starts from the sets and from the crossings the smoothing touched (with
-their over-predecessors), not from a scan of every crossing.  It makes the
-same moves in the same order: the arc labels, the children and the node
-counts are those of a full scan.
+switch reclassifies just those crossings and tells whether a bigon is left,
+and the copy's Reidemeister pass starts from the sets and from the
+crossings the smoothing touched, not from a scan of every crossing.  It
+makes the same moves in the same order: the arc labels, the children and
+the node counts are those of a full scan.  The reduced end of a chain is
+a copy too, reduced from the sets alone.
 
-A smoothing result leaves the working form as its exact crossing tuple, and
-``_decompose`` looks that tuple up in the code table (below) before any
-``LinkDiagram`` is built: a result the table knows is one piece with a
-known code, and it becomes a ``LinkDiagram`` only if it is expanded, never
-for a memo hit.  An empty result is an unlink and needs no diagram either.
+A smoothing or reduction result leaves the working form as its exact
+crossing tuple, and ``_decompose`` looks that tuple up in the code table
+(below) before any ``LinkDiagram`` is built: a result the table knows is
+one piece with a known code, and it becomes a ``LinkDiagram`` only if it
+is expanded, never for a memo hit.  An empty result is an unlink and needs
+no diagram either.
 
 The pieces of a diagram come in order of their first crossing, each with
 its crossings in diagram order (``LinkDiagram.split_pieces``), and become
@@ -81,7 +87,7 @@ import time
 
 from .diagram import LinkDiagram, _WorkingDiagram
 from .errors import BudgetExceededError, CacheCorruptionError, DiagramError, SelfCheckError
-from .laurent import LaurentPoly2, delta_power
+from .laurent import ZERO, LaurentPoly2, delta_power
 
 __all__ = ["SkeinEngine"]
 
@@ -93,8 +99,8 @@ __all__ = ["SkeinEngine"]
 _monomial = functools.lru_cache(maxsize=None)(LaurentPoly2.monomial)
 
 # Entries in the crossings -> canonical code table before it is cleared.  A
-# satellite-cold pass of the benchmark meets about 2,100 distinct labelled
-# pieces; 1,024 entries keep 97% of its repeat lookups at half the memory.
+# satellite-cold pass of the benchmark meets about 2,000 distinct labelled
+# pieces; 1,024 entries keep 95% of its repeat lookups at half the memory.
 _CODE_TABLE_CAP = 1024
 
 # A cache line as ``save_cache`` writes it, once its hex is of even length:
@@ -216,7 +222,7 @@ class SkeinEngine:
             self.memo_hits += 1
             return
         deadline = None if self.wall_seconds is None else t0 + self.wall_seconds
-        nodes = {}  # code -> (unlink term, [(coeff, delta exponent, child codes)])
+        nodes = {}  # code -> (unlink term or zero, [(coeff, delta exponent, child codes)])
         stack = [(code0, piece0)]
         while stack:
             code, piece = stack[-1]
@@ -252,23 +258,32 @@ class SkeinEngine:
                 stack.pop()
                 continue
             # Unroll the switch chain on one working form: each bad
-            # crossing contributes its smoothed diagram, and the fully
-            # switched end is an unlink.
+            # crossing contributes its smoothed diagram.  The chain ends at
+            # its descending end, an unlink, or at the first switch that
+            # leaves a bigon, whose reduced diagram becomes the last child.
             k = 0  # the prefix is v^k (see _monomial)
-            terms = []
+            results = []
+            value = ZERO
             w = _WorkingDiagram(piece.crossings)
             for x in bad:
-                exponent, children = _decompose(*w.smoothed(x), codes)
                 sign = w.sign(x)
-                terms.append((_monomial(sign, k + sign, 1), exponent, [c for c, _ in children]))
+                results.append((_monomial(sign, k + sign, 1), w.smoothed(x)))
                 k += 2 * sign
-                w.switch(x)
+                if w.switch(x) and x != bad[-1]:
+                    results.append((_monomial(1, k, 0), w.reduced()))
+                    break
+            else:
+                value = _monomial(1, k, 0) * delta_power(piece.component_count() - 1)
+            terms = []
+            for coeff, result in results:
+                exponent, children = _decompose(*result, codes)
+                terms.append((coeff, exponent, [c for c, _ in children]))
                 for child in children:
                     if child[0] in memo:
                         self.memo_hits += 1
                     else:
                         stack.append(child)
-            nodes[code] = (_monomial(1, k, 0) * delta_power(piece.component_count() - 1), terms)
+            nodes[code] = (value, terms)
 
 
 def _decompose(core, removed: int, codes: dict):

@@ -6,10 +6,13 @@ suites that ``skeinkit verify --suite all`` runs, so every identity is
 computed once, by its suite.  A criterion names its checks by id prefix and
 count, so a check that is missing, SKIP or FAIL fails it; sample sizes that
 no check id shows are read from the check notes.  The r=3 stretch run
-(criterion 2) happens only when SKEINKIT_STRETCH=1 is set.
+(criterion 2) happens only when SKEINKIT_STRETCH=1 is set; its r=3,
+top_sign=+1 polynomial must then equal the one in bench/reference.json.
 """
 
+import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +23,7 @@ from skeinkit.suites import AMBIGUOUS_ENTRY, SUITES, SuiteConfig, suite_borromea
 from conftest import acceptance_line
 
 R_MAX = 3 if os.environ.get("SKEINKIT_STRETCH") == "1" else 2
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
 
 
 def _record(num: int, ok: bool, detail: str) -> None:
@@ -86,7 +90,16 @@ def test_criterion_2_doubled_degree_formula(runs):
     mirrors = _require(runs["main"], "mirror-identity[r=", R_MAX)
     r1_ms = degrees[0][0].ms if degrees else None
     ok = bool(degrees and mirrors and r1_ms <= 1_000)
-    stretch = "" if R_MAX == 3 else "; r=3 skipped (set SKEINKIT_STRETCH=1)"
+    stretch = "; r=3 skipped (set SKEINKIT_STRETCH=1)"
+    if R_MAX == 3:
+        want = json.loads(REFERENCE.read_text())["doubled_quasitoric_r3_top_plus"]["homfly"]
+        got = [
+            r.polynomial.format_text()
+            for r in runs["main"]
+            if r.input == "doubled-closure(quasitoric r=3, top_sign=+1)" and r.polynomial
+        ]
+        ok = ok and got == [want]
+        stretch = f"; r=3 polynomial {'equals' if got == [want] else 'differs from'} bench/reference.json"
     _record(
         2,
         ok,

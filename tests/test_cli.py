@@ -435,6 +435,8 @@ def test_props_budget_skip_keeps_the_checks_before_it(capsys):
         ("double-degree-is-whitehead-minus-1", "PASS"),
         ("double-degree-is-whitehead-minus-1", "PASS"),
         ("double-degree-is-whitehead-minus-1", "PASS"),
+        ("double-degree-is-whitehead-minus-1", "PASS"),
+        ("double-degree-is-whitehead-minus-1", "PASS"),
         ("computation", "SKIP"),
     ]
 

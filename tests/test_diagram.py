@@ -508,8 +508,13 @@ def test_smoothing_matches_sequential_oracle(d, data):
             assert (got, removed) == (want_core.crossings, want_removed)
             assert_form_is(w, cs)
         if step < len(flips):
-            w.switch(flips[step])
+            bigon = w.switch(flips[step])
             cs[flips[step]] = cs[flips[step]].switched()
+            # a switch makes no kink, so the reducible switched forms are
+            # those with a bigon, and their reduced copies end skein chains
+            assert bigon == (oracle_move(LinkDiagram(cs)) is not None)
+            want_core, want_removed = oracle_simplify(LinkDiagram(cs))
+            assert w.reduced() == (want_core.crossings, want_removed)
     assert_form_is(w, switched(core, flips))
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skeinkit.braid import BraidWord
-from skeinkit.diagram import Crossing, LinkDiagram, from_braid_closure
+from skeinkit.diagram import Crossing, LinkDiagram, _WorkingDiagram, from_braid_closure
 from skeinkit.errors import BudgetExceededError, CacheCorruptionError, DiagramError
 from skeinkit.laurent import DELTA, ONE, ZERO, LaurentPoly2, delta_power
 from skeinkit.satellite import blackboard_double, canonical_whitehead, quasitoric_closure
@@ -212,27 +212,91 @@ def test_cache_round_trip(tmp_path):
     assert e2.counters()["nodes"] == 0
 
 
+# -- the untruncated skein recursion --------------------------------------
+
+
+def oracle_homfly(d: LinkDiagram, memo: dict) -> LaurentPoly2:
+    """The skein recursion on the public ``LinkDiagram`` API, with every
+    switch chain run to its descending end, an unlink.  ``memo`` maps the
+    canonical code of a piece to its value."""
+    core, removed = d.simplify()
+    if core.is_empty():
+        return delta_power(removed - 1)
+    pieces = core.split_pieces()
+    result = delta_power(removed + len(pieces) - 1)
+    for piece in pieces:
+        code = piece.canonical_code()
+        if code not in memo:
+            value, k = ZERO, 0
+            for x in piece.non_descending_crossings():
+                sign = piece.crossings[x].sign
+                smoothed = oracle_homfly(piece.smooth_crossing(x), memo)
+                value = value + LaurentPoly2.monomial(sign, k + sign, 1) * smoothed
+                k += 2 * sign
+                piece = piece.switch_crossing(x)
+            unlink = delta_power(piece.component_count() - 1)
+            memo[code] = value + LaurentPoly2.monomial(1, k, 0) * unlink
+        result = result * memo[code]
+    return result
+
+
+@st.composite
+def skein_inputs(draw):
+    """Braid closures, and for companions of at most 5 crossings their
+    blackboard doubles or, for knots, Whitehead doubles over a few
+    framings and both clasps."""
+    n = draw(st.integers(2, 4))
+    letter = st.integers(1, n - 1).flatmap(lambda k: st.sampled_from([k, -k]))
+    d = closure(draw(st.lists(letter, max_size=8)), strands=n)
+    kind = draw(st.sampled_from(["closure", "double", "whitehead"]))
+    if kind == "closure" or len(d.crossings) > 5:
+        return d
+    if kind == "whitehead" and d.component_count() == 1:
+        m = d.writhe() + draw(st.integers(-2, 2))
+        return canonical_whitehead(d, m, draw(st.sampled_from([1, -1])))
+    return blackboard_double(d)
+
+
+@given(skein_inputs())
+@settings(max_examples=200, deadline=None)
+def test_truncated_chains_match_the_untruncated_oracle(d):
+    assert SkeinEngine().homfly(d) == oracle_homfly(d, {})
+
+
 def memo_key_digest(engine) -> str:
     """sha256 of the engine's memo keys (canonical codes) in sorted order."""
     return hashlib.sha256(b"".join(sorted(engine.memo))).hexdigest()
 
 
-def test_memo_dag_of_doubled_borromean_rings_is_pinned():
+def test_memo_dag_of_doubled_borromean_rings_is_pinned(monkeypatch):
     # A cold engine expands one node per distinct simplified piece, so the
     # node count pins the memo DAG: the simplifier's move order and arc
-    # labels (hence the skein basepoints) and the canonical code fix it.
-    # The memo hits count the child edges that point at a finished node,
-    # and the key digest pins the codes a disk cache is keyed by, so a
-    # cache written by an earlier version still hits.
+    # labels (hence the skein basepoints), where each switch chain ends,
+    # and the canonical code fix it.  The memo hits count the child edges
+    # that point at a finished node, and the key digest pins the codes a
+    # disk cache is keyed by.  The smoothings and chain-end reductions pin
+    # where the chains end: chains run to their descending ends smooth
+    # 3,077 and 3,220 times and reduce never.
+    calls = []
+    for name in ("smoothed", "reduced"):
+        method = getattr(_WorkingDiagram, name)
+
+        def counting(self, *args, name=name, method=method):
+            calls.append(name)
+            return method(self, *args)
+
+        monkeypatch.setattr(_WorkingDiagram, name, counting)
     pins = (
-        (1, 721, 1315, "73bf4f922eb55c086a719aaa42de2e57149f5f6e387c04b40db25d134adc510e"),
-        (-1, 696, 1324, "60681f0682eeb1034c892b9ee7c4c7143c8264afe68642fd7fab5f2f2930a432"),
+        (1, 819, 955, 1312, 689, "d20da2904377cd2b53767d4962c71b70fca61affe0e4cf309093388c512d72e5"),
+        (-1, 853, 1043, 1538, 712, "67afc685f05cc70920e2a757b0b915636b2f0ceba9b4ba51f6e0458960ddce56"),
     )
-    for top_sign, nodes, hits, digest in pins:
+    for top_sign, nodes, hits, smoothed, reduced, digest in pins:
+        calls.clear()
         e = SkeinEngine()
         e.homfly(blackboard_double(quasitoric_closure(2, top_sign)))
         assert e.counters()["nodes"] == nodes
         assert e.counters()["memo_hits"] == hits
+        assert (calls.count("smoothed"), calls.count("reduced")) == (smoothed, reduced)
         assert memo_key_digest(e) == digest
 
 
@@ -247,8 +311,8 @@ def test_memo_dag_of_mirrored_figure_eight_whitehead_doubles_is_pinned():
     for m in range(w - 2, w + 3):
         for clasp in (1, -1):
             e.homfly(canonical_whitehead(companion, m, clasp))
-    assert (e.counters()["nodes"], e.counters()["memo_hits"]) == (255, 492)
-    assert memo_key_digest(e) == "931c6f2768383301237b78315a2ddf5ad224ab391fda650feb60dcc31f7c847f"
+    assert (e.counters()["nodes"], e.counters()["memo_hits"]) == (251, 239)
+    assert memo_key_digest(e) == "4d72a4429957cc039f85a19f6a3da160f6e902b5d5078abcfdd31237b773f247"
 
 
 def test_trusted_diagrams_equal_validated_ones(monkeypatch):
@@ -264,7 +328,7 @@ def test_trusted_diagrams_equal_validated_ones(monkeypatch):
 
     monkeypatch.setattr(LinkDiagram, "_trusted", classmethod(recording))
     SkeinEngine().homfly(blackboard_double(quasitoric_closure(2, 1)))
-    assert len(built) > 721
+    assert len(built) > 819
     for d in built:
         assert all(type(c) is Crossing for c in d.crossings)
         ref = LinkDiagram(d.crossings, d.free_loops)
@@ -289,7 +353,7 @@ def test_code_table_stays_under_its_cap(monkeypatch):
     e = SkeinEngine()
     e._codes = Recording()
     assert e.homfly(d) == want
-    assert e.counters()["nodes"] == 721
+    assert e.counters()["nodes"] == 819
     assert max(sizes) == 8
     assert sizes.count(1) > 1  # the table was cleared
 
@@ -434,7 +498,7 @@ def test_duplicate_lines_load_when_their_values_are_equal(tmp_path):
 
 @pytest.fixture(scope="module")
 def borromean_cache(tmp_path_factory):
-    """A cache of the doubled Borromean rings (721 entries) and its value."""
+    """A cache of the doubled Borromean rings (819 entries) and its value."""
     path = tmp_path_factory.mktemp("cache") / "poly.cache"
     e = SkeinEngine(cache_path=str(path))
     d = blackboard_double(quasitoric_closure(2, 1))
@@ -446,7 +510,7 @@ def borromean_cache(tmp_path_factory):
 def test_saved_lines_are_canonical_lines(borromean_cache, tmp_path):
     path = borromean_cache[0]
     lines = path.read_text().splitlines()
-    assert len(lines) == 721
+    assert len(lines) == 819
     e = SkeinEngine()
     edge = LaurentPoly2({(-(10**9 - 1), 10**9 - 1): -(2**80), (0, 0): 3})
     for i, p in enumerate([ONE, ZERO, DELTA, HOPF_PLUS, edge]):
@@ -483,9 +547,9 @@ def test_a_warm_run_parses_only_the_entries_it_reads(borromean_cache, monkeypatc
 
     monkeypatch.setattr(LaurentPoly2, "parse_text", staticmethod(counting))
     e = SkeinEngine(cache_path=str(path))
-    assert e.counters()["preloaded"] == 721 and calls == []
+    assert e.counters()["preloaded"] == 819 and calls == []
     assert e.homfly(d) == p
     assert e.homfly(d) == p
     read = [v for v in e.memo.values() if not isinstance(v, str)]
     assert e.counters()["nodes"] == 0
-    assert 1 <= len(calls) == len(read) < 721
+    assert 1 <= len(calls) == len(read) < 819
