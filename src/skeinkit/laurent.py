@@ -276,6 +276,4 @@ DELTA = LaurentPoly2({(-1, -1): 1, (1, -1): -1})
 @functools.lru_cache(maxsize=None)
 def delta_power(k: int) -> LaurentPoly2:
     """delta^k, the HOMFLYPT polynomial of a (k+1)-component unlink."""
-    if k < 0:
-        raise ValueError("delta_power requires k >= 0")
     return DELTA ** k

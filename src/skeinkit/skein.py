@@ -12,13 +12,15 @@ current sign (earlier bad crossings already switched):
     negative x:  P(d) = v^-2 P(switched) - v^-1 z P(smoothed)
 
 Switching never changes the traversal, so the whole switch chain of one
-diagram unrolls in a single node, and its children are the smoothed
-diagrams, each one crossing smaller.  The chain ends in one of two ways.
-With all bad crossings switched the diagram is descending, hence an unlink
-worth delta^(mu-1).  But a switch that leaves an R2 bigon while bad
-crossings remain ends it early: the switched diagram, reduced, is the
-node's last child, with the chain's prefix as its coefficient and no unlink
-term.  R2 preserves P, and that child is at least two crossings smaller.
+diagram unrolls in a single node (``_chain``), and its children are the
+smoothed diagrams, each one crossing smaller.  The chain's end, with the
+chain's prefix as its coefficient, is one more term.  With all bad
+crossings switched the diagram is descending, hence an unlink of mu
+components: the end is the empty diagram that shed mu loops, worth
+delta^(mu-1), and a node with no bad crossings has this term alone.  But a
+switch that leaves an R2 bigon while bad crossings remain ends the chain
+early: the end is the switched diagram, reduced, the node's last child.
+R2 preserves P, and that child is at least two crossings smaller.
 Recursion therefore descends strictly in crossing count, which makes the
 memo DAG acyclic and termination unconditional.
 
@@ -36,12 +38,11 @@ makes the same moves in the same order: the arc labels, the children and
 the node counts are those of a full scan.  The reduced end of a chain is
 a copy too, reduced from the sets alone.
 
-A smoothing or reduction result leaves the working form as its exact
-crossing tuple, and ``_decompose`` looks that tuple up in the code table
-(below) before any ``LinkDiagram`` is built: a result the table knows is
-one piece with a known code, and it becomes a ``LinkDiagram`` only if it
-is expanded, never for a memo hit.  An empty result is an unlink and needs
-no diagram either.
+Every chain result, and the simplified root, enters ``_decompose`` as its
+exact crossing tuple, which is looked up in the code table (below) before
+any ``LinkDiagram`` is built: a result the table knows is one piece with a
+known code, and it becomes a ``LinkDiagram`` only if it is expanded, never
+for a memo hit.  An empty result is an unlink and needs no diagram either.
 
 The pieces of a diagram come in order of their first crossing, each with
 its crossings in diagram order (``LinkDiagram.split_pieces``), and become
@@ -70,12 +71,14 @@ where the entry is first read.
 
 The evaluator runs on an explicit stack, so deep skein trees cannot overflow
 the interpreter stack.  A node is expanded once, when it first reaches the
-top: it pushes its children that are not memoized and keeps only their
-codes.  Every child has fewer crossings than its parent, so it is never an
-ancestor, and each is in the memo by the time the parent is on top again;
-the second visit only combines memo values.  Identical inputs yield
-identical polynomials regardless of the memo hit pattern; a memo entry is
-never overwritten with a different value.
+top: it splits each term's result into pieces as the chain makes it, and
+pushes the pieces that are not memoized.  Every child has fewer crossings
+than its parent, so it is never an ancestor, and each is in the memo by
+the time the parent is on top again; the second visit only combines memo
+values.  So a node's value is written once, under a code the memo lacked:
+no entry is ever overwritten, and only ``load_cache``, where one code can
+come twice, checks two values of a code against each other.  Identical
+inputs yield identical polynomials regardless of the memo hit pattern.
 """
 
 from __future__ import annotations
@@ -149,7 +152,15 @@ class SkeinEngine:
                         raise CacheCorruptionError(
                             f"{path}: bad cache line {lineno}: {line!r} ({exc})"
                         ) from exc
-                self._memo_write(code, value)
+                old = self.memo.get(code)
+                if old is None:
+                    self.memo[code] = value
+                elif old != value:
+                    # A duplicate line: two texts are parsed only when they differ.
+                    if isinstance(value, str):
+                        value = LaurentPoly2.parse_text(value)
+                    if self.value(code) != value:
+                        raise CacheCorruptionError("memo entry conflict for a canonical code")
                 count += 1
         self.preloaded += count
         return count
@@ -183,19 +194,6 @@ class SkeinEngine:
             value = self.memo[code] = LaurentPoly2.parse_text(value)
         return value
 
-    def _memo_write(self, code: bytes, value) -> None:
-        """Store a polynomial, or a loaded line's canonical text, under ``code``.
-        Two texts are parsed only when they differ, so that a conflicting
-        duplicate line is refused at load."""
-        old = self.memo.get(code)
-        if old is None:
-            self.memo[code] = value
-        elif old != value:
-            if isinstance(value, str):
-                value = LaurentPoly2.parse_text(value)
-            if self.value(code) != value:
-                raise CacheCorruptionError("memo entry conflict for a canonical code")
-
     # -- evaluation -------------------------------------------------------
 
     def homfly(self, d: LinkDiagram) -> LaurentPoly2:
@@ -203,42 +201,43 @@ class SkeinEngine:
         if d.is_empty():
             raise DiagramError("the empty diagram has no HOMFLYPT polynomial")
         t0 = time.monotonic()
-        exponent, pieces = _decompose(*d.simplify(), self._codes)
+        core, removed = d.simplify()
+        exponent, pieces = _decompose(core.crossings, removed, self._codes)
         for code, piece in pieces:
             self._resolve(piece, code, t0)
+        result = self._product(exponent, pieces)
+        _self_check(d, result)
+        return result
+
+    def _product(self, exponent: int, pieces) -> LaurentPoly2:
+        """delta^exponent times the memo values of ``pieces``, (code, piece)
+        pairs as ``_decompose`` returns them."""
         result = delta_power(exponent)
         for code, _ in pieces:
             result = result * self.value(code)
-        _self_check(d, result)
         return result
 
     def _resolve(self, piece0, code0: bytes, t0: float) -> None:
         """Evaluate one piece of ``_decompose`` into the memo; ``t0`` is when
-        homfly() began."""
+        homfly() began.  A node's terms are made on its first visit and
+        summed on its second (module docstring)."""
         memo = self.memo
         codes = self._codes
-        value_of = self.value
         if code0 in memo:
             self.memo_hits += 1
             return
         deadline = None if self.wall_seconds is None else t0 + self.wall_seconds
-        nodes = {}  # code -> (unlink term or zero, [(coeff, delta exponent, child codes)])
+        nodes = {}  # code -> [(coeff, delta exponent, [(child code, child piece)])]
         stack = [(code0, piece0)]
         while stack:
             code, piece = stack[-1]
             if code in memo:
                 stack.pop()
                 continue
-            node = nodes.pop(code, None)
-            if node is not None:
+            terms = nodes.pop(code, None)
+            if terms is not None:
                 # Second visit: every child is memoized (module docstring).
-                value, terms = node
-                for coeff, exponent, child_codes in terms:
-                    part = delta_power(exponent)
-                    for child_code in child_codes:
-                        part = part * value_of(child_code)
-                    value = value + coeff * part
-                self._memo_write(code, value)
+                memo[code] = sum((coeff * self._product(e, ps) for coeff, e, ps in terms), ZERO)
                 stack.pop()
                 continue
             self.nodes_expanded += 1
@@ -252,63 +251,56 @@ class SkeinEngine:
                 )
             if type(piece) is tuple:  # known to the code table, not built until now
                 piece = LinkDiagram._trusted(piece)
-            bad = piece.non_descending_crossings()
-            if not bad:
-                self._memo_write(code, delta_power(piece.component_count() - 1))
-                stack.pop()
-                continue
-            # Unroll the switch chain on one working form: each bad
-            # crossing contributes its smoothed diagram.  The chain ends at
-            # its descending end, an unlink, or at the first switch that
-            # leaves a bigon, whose reduced diagram becomes the last child.
-            k = 0  # the prefix is v^k (see _monomial)
-            results = []
-            value = ZERO
-            w = _WorkingDiagram(piece.crossings)
-            for x in bad:
-                sign = w.sign(x)
-                results.append((_monomial(sign, k + sign, 1), w.smoothed(x)))
-                k += 2 * sign
-                if w.switch(x) and x != bad[-1]:
-                    results.append((_monomial(1, k, 0), w.reduced()))
-                    break
-            else:
-                value = _monomial(1, k, 0) * delta_power(piece.component_count() - 1)
-            terms = []
-            for coeff, result in results:
-                exponent, children = _decompose(*result, codes)
-                terms.append((coeff, exponent, [c for c, _ in children]))
+            terms = nodes[code] = []
+            for coeff, crossings, removed in _chain(piece):
+                exponent, children = _decompose(crossings, removed, codes)
+                terms.append((coeff, exponent, children))
                 for child in children:
                     if child[0] in memo:
                         self.memo_hits += 1
                     else:
                         stack.append(child)
-            nodes[code] = (value, terms)
 
 
-def _decompose(core, removed: int, codes: dict):
-    """Split a simplified diagram that shed ``removed`` loops:
-    P = delta^exponent * product of piece values.
+def _chain(piece: LinkDiagram):
+    """The terms of ``piece``'s switch chain, (coefficient, crossings,
+    removed loops): the smoothing of each bad crossing, in traversal order,
+    and then the chain's end.  That end is the reduced switched diagram at
+    the first switch that leaves a bigon while bad crossings remain, or
+    else the descending diagram, an unlink of mu components: no crossings,
+    mu loops.  The chain runs on one working form (module docstring)."""
+    bad = piece.non_descending_crossings()
+    w = _WorkingDiagram(piece.crossings)
+    k = 0  # the prefix is v^k (see _monomial)
+    for x in bad:
+        sign = w.sign(x)
+        yield (_monomial(sign, k + sign, 1), *w.smoothed(x))
+        k += 2 * sign
+        if w.switch(x) and x != bad[-1]:
+            yield (_monomial(1, k, 0), *w.reduced())
+            return
+    yield _monomial(1, k, 0), (), piece.component_count()
 
-    ``core`` is a ``LinkDiagram`` or, for a smoothing result, its crossing
-    tuple.  Returns (exponent, [(code, piece)]).  ``codes`` is the engine's
+
+def _decompose(crossings: tuple, removed: int, codes: dict):
+    """Split the simplified diagram with these crossings, which shed
+    ``removed`` loops: P = delta^exponent * product of piece values.
+
+    Returns (exponent, [(code, piece)]).  ``codes`` is the engine's
     crossings -> canonical code table, and it is asked for the whole
-    crossing tuple first: a diagram it knows is one piece, returned as
-    ``core`` itself, so no ``LinkDiagram`` is built for a tuple here.  Any
-    other piece is a ``LinkDiagram``.  The pieces keep the
-    ``split_pieces`` order, first crossing first; it decides which
+    crossing tuple first: a diagram it knows is one piece, returned as the
+    tuple itself, so no ``LinkDiagram`` is built for it here.  Any other
+    piece is the ``LinkDiagram`` that ``split_pieces`` built.  The pieces
+    keep the ``split_pieces`` order, first crossing first; it decides which
     labelled copy of a repeated code is expanded, and so the node counts
     (module docstring).
     """
-    crossings = core if type(core) is tuple else core.crossings
     if not crossings:
         return removed - 1, []
     code = codes.get(crossings)
     if code is not None:
-        return removed, [(code, core)]
-    if type(core) is tuple:
-        core = LinkDiagram._trusted(core)
-    pieces = core.split_pieces()
+        return removed, [(code, crossings)]
+    pieces = LinkDiagram._trusted(crossings).split_pieces()
     coded = []
     for p in pieces:
         code = codes.get(p.crossings)

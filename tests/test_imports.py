@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TEST_ONLY_API = {
     "LinkDiagram.linking_number": "checks the doubling convention's framing",
     "BraidWord.closure_component_count": "checks the closure's component count",
+    "BraidWord.permutation": "checks the closure's strand permutation; only closure_component_count reads it",
     "LinkDiagram.to_pd_text": "checks the PD convention by a round trip",
     "InvariantReport.content_key": "the determinism key named in the README",
 }
@@ -62,26 +63,32 @@ def test_no_unused_imports():
     assert not found, "unused imports:\n" + "\n".join(found)
 
 
-def defined_functions(tree: ast.Module) -> list:
-    """``(qualified name, line)`` of each module-level function and each method
-    of a module-level class."""
-    found = [(n.name, n.lineno) for n in tree.body if isinstance(n, ast.FunctionDef)]
+def function_nodes(tree: ast.Module) -> list:
+    """``(qualified name, node)`` of each module-level function and each
+    method of a module-level class."""
+    found = [(n.name, n) for n in tree.body if isinstance(n, ast.FunctionDef)]
     for c in tree.body:
         if isinstance(c, ast.ClassDef):
-            found += [(f"{c.name}.{n.name}", n.lineno) for n in c.body if isinstance(n, ast.FunctionDef)]
+            found += [(f"{c.name}.{n.name}", n) for n in c.body if isinstance(n, ast.FunctionDef)]
     return found
 
 
-def names_read(tree: ast.Module) -> set:
-    """Every name ``tree`` reads by name, attribute or import."""
+def names_read(tree: ast.AST, skipped=()) -> set:
+    """Every name ``tree`` reads by name, attribute or import, outside the
+    subtrees in ``skipped``."""
+    todo = [tree]
     used = set()
-    for node in ast.walk(tree):
+    while todo:
+        node = todo.pop()
+        if node in skipped:
+            continue
         if isinstance(node, ast.Name):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
         elif isinstance(node, ast.alias):
             used.add(node.name)
+        todo.extend(ast.iter_child_nodes(node))
     return used
 
 
@@ -92,10 +99,10 @@ def unreferenced_private_functions(trees: dict) -> list:
     defined = {}
     used = set()
     for module, tree in trees.items():
-        for qualname, line in defined_functions(tree):
+        for qualname, node in function_nodes(tree):
             name = qualname.rpartition(".")[2]
             if name.startswith("_") and not name.startswith("__"):
-                defined[name] = f"{module}:{line}"
+                defined[name] = f"{module}:{node.lineno}"
         used |= names_read(tree)
     return sorted(f"{where}: {name}" for name, where in defined.items() if name not in used)
 
@@ -126,18 +133,21 @@ def test_no_unreferenced_private_functions():
     assert not found, "private functions without a caller in src/:\n" + "\n".join(found)
 
 
-def unread_public_functions(defining: dict, reading: dict, extra_reads=frozenset()) -> list:
+def unread_public_functions(defining: dict, reading: dict, extra_reads=frozenset(), test_only=frozenset()) -> list:
     """``module:line: qualified name`` of each public module-level function or
     method of a module-level class in ``defining`` whose name no tree in
     ``reading`` reads by name, attribute or import, and that is not in
-    ``extra_reads``."""
-    used = set(extra_reads).union(*map(names_read, reading.values()))
+    ``extra_reads``.  A read inside a function named in ``test_only`` does
+    not count: what only test-only API reads is read only by tests."""
+    used = set(extra_reads)
+    for tree in reading.values():
+        used |= names_read(tree, {node for name, node in function_nodes(tree) if name in test_only})
     found = []
     for module, tree in defining.items():
-        for qualname, line in defined_functions(tree):
+        for qualname, node in function_nodes(tree):
             name = qualname.rpartition(".")[2]
             if not name.startswith("_") and name not in used:
-                found.append(f"{module}:{line}: {qualname}")
+                found.append(f"{module}:{node.lineno}: {qualname}")
     return sorted(found)
 
 
@@ -153,10 +163,24 @@ def test_unread_public_functions_are_caught():
     assert unread_public_functions(defining, reading, {"hooked"}) == ["a:1: dead", "a:6: K.method"]
 
 
+def test_reads_inside_test_only_api_are_caught():
+    defining = {
+        "a": ast.parse(
+            "def helper(): pass\ndef shared(): pass\ndef public(): shared()\n"
+            "class K:\n    def checked(self): helper(); shared(); self.inner()\n"
+            "    def inner(self): pass\n"
+        )
+    }
+    reading = {**defining, "b": ast.parse("from a import public\nK().checked()\n")}
+    assert unread_public_functions(defining, reading) == []
+    found = unread_public_functions(defining, reading, test_only={"K.checked"})
+    assert found == ["a:1: helper", "a:6: K.inner"]
+
+
 def test_no_public_functions_read_only_by_tests():
     package = parse_folder("src")
     hooks = {path.rpartition(".")[2] for entries in hook_lists().values() for _, _, path, _ in entries}
-    found = unread_public_functions(package, {**package, **parse_folder("bench")}, hooks)
+    found = unread_public_functions(package, {**package, **parse_folder("bench")}, hooks, TEST_ONLY_API)
     by_name = {line.rpartition(": ")[2]: line for line in found}
     assert sorted(set(TEST_ONLY_API) - set(by_name)) == [], "exempt names that are read"
     unread = [line for name, line in by_name.items() if name not in TEST_ONLY_API]

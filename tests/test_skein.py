@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from skeinkit.braid import BraidWord
 from skeinkit.diagram import Crossing, LinkDiagram, _WorkingDiagram, from_braid_closure
 from skeinkit.errors import BudgetExceededError, CacheCorruptionError, DiagramError
+from skeinkit.hecke import homfly_closed_braid
 from skeinkit.laurent import DELTA, ONE, ZERO, LaurentPoly2, delta_power
 from skeinkit.satellite import blackboard_double, canonical_whitehead, quasitoric_closure
 from skeinkit.skein import _CANONICAL_LINE, SkeinEngine
@@ -65,6 +66,17 @@ def test_split_union_multiplies_by_delta(eng):
     assert eng.homfly(union) == DELTA * RIGHT_TREFOIL * RIGHT_TREFOIL
     with_loop = LinkDiagram(tref.crossings, 2)
     assert eng.homfly(with_loop) == delta_power(2) * RIGHT_TREFOIL
+
+
+def test_split_root_is_resolved_one_piece_at_a_time():
+    # Two trefoils and a free loop: a root of two pieces with one code.  The
+    # first trefoil is expanded with its Hopf-link child (2 nodes, 2
+    # entries); the second is a memo hit.
+    b = BraidWord(5, (1, 1, 1, 3, 3, 3))
+    e = SkeinEngine()
+    p = e.homfly(from_braid_closure(b))
+    assert p == delta_power(2) * RIGHT_TREFOIL**2 == homfly_closed_braid(b)
+    assert e.counters() == {"nodes": 2, "memo_hits": 1, "memo_size": 2, "preloaded": 0}
 
 
 def test_simplify_preserves_polynomial(eng):
@@ -166,17 +178,6 @@ def test_clasp_smoothing_identity(eng):
         pd = eng.homfly(canonical_double(trefoil, m))
         rhs = LaurentPoly2.monomial(1, -1, -1) * pw + LaurentPoly2.monomial(-1, 1, -1)
         assert pd == rhs
-
-
-def test_memo_conflict_guard():
-    from skeinkit.errors import CacheCorruptionError
-    from skeinkit.laurent import ONE
-
-    e = SkeinEngine()
-    e._memo_write(b"key", ONE)
-    e._memo_write(b"key", ONE)  # identical rewrite is fine
-    with pytest.raises(CacheCorruptionError):
-        e._memo_write(b"key", DELTA)
 
 
 def test_corrupt_cache_lines_are_refused_by_line_number(tmp_path):
@@ -514,7 +515,7 @@ def test_saved_lines_are_canonical_lines(borromean_cache, tmp_path):
     e = SkeinEngine()
     edge = LaurentPoly2({(-(10**9 - 1), 10**9 - 1): -(2**80), (0, 0): 3})
     for i, p in enumerate([ONE, ZERO, DELTA, HOPF_PLUS, edge]):
-        e._memo_write(bytes([i]), p)
+        e.memo[bytes([i])] = p
     e.save_cache(str(tmp_path / "more.cache"))
     lines += (tmp_path / "more.cache").read_text().splitlines()
     matches = [_CANONICAL_LINE.fullmatch(line) for line in lines]
