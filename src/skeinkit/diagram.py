@@ -31,9 +31,9 @@ crossings in place and smooths each bad crossing on a copy
 copy ends the chain (``_WorkingDiagram.reduced``).  The form also holds its
 kinks and bigons, which each switch updates, so they are carried along the
 node's switch chain and each copy's Reidemeister pass starts from them.  A
-copy returns its exact crossing tuple, which the engine can look up before
-any ``LinkDiagram`` is built; ``Crossing`` values are built only then, for
-the crossings that moves rebuilt.
+copy returns its exact crossing tuple, which the engine makes a
+``LinkDiagram``; ``Crossing`` values are built only then, for the crossings
+that moves rebuilt.
 
 ``LinkDiagram(...)`` validates its input.  A diagram that the core derives
 from a valid one (a smoothing, a ``simplify`` result, a ``split_pieces``
@@ -439,10 +439,14 @@ class LinkDiagram:
         return len(self._orbits(3, 1)) + self.free_loops
 
     def stats(self) -> DiagramStats:
+        """Counts of the diagram, its Morton bound c - s + 1, and the genus of
+        its Seifert surface, which has one part per connected part of the
+        diagram (each free loop one): with k parts, (2k - mu - s + c) / 2."""
         c = len(self.crossings)
         s = self.seifert_circle_count()
         mu = self.component_count()
-        genus = Fraction(2 - mu - s + c, 2)
+        k = len(self.split_pieces()) + self.free_loops
+        genus = Fraction(2 * k - mu - s + c, 2)
         return DiagramStats(c, s, self.writhe(), mu, c - s + 1, genus)
 
     def linking_number(self, i: int, j: int) -> Fraction:

@@ -38,11 +38,10 @@ makes the same moves in the same order: the arc labels, the children and
 the node counts are those of a full scan.  The reduced end of a chain is
 a copy too, reduced from the sets alone.
 
-Every chain result, and the simplified root, enters ``_decompose`` as its
-exact crossing tuple, which is looked up in the code table (below) before
-any ``LinkDiagram`` is built: a result the table knows is one piece with a
-known code, and it becomes a ``LinkDiagram`` only if it is expanded, never
-for a memo hit.  An empty result is an unlink and needs no diagram either.
+Every piece is a ``LinkDiagram``: each chain result becomes one where it
+is made, and the simplified root enters ``_decompose`` as the diagram that
+``simplify`` returned, so a root that does not reduce keeps the component
+walk it already holds.  An empty result is a diagram with no pieces.
 
 The pieces of a diagram come in order of their first crossing, each with
 its crossings in diagram order (``LinkDiagram.split_pieces``), and become
@@ -55,10 +54,11 @@ Results are memoized on the canonical code of each simplified piece, and the
 memo can persist to a disk cache between runs (line format: ``code-hex TAB
 canonical-polynomial-text``).  The same labelled piece recurs among the
 children of different nodes, so the engine also keeps a table from a piece's
-exact crossing tuple (never a hash of it) to its canonical code, and looks a
-child up there before it searches for the code.  The table is cleared
-whenever it reaches ``_CODE_TABLE_CAP`` entries, which bounds its memory; a
-miss only costs the search again.
+exact crossing tuple (never a hash of it) to its canonical code.  Each
+result asks it once, for the whole diagram, before it is split and its
+pieces searched.  The table is cleared whenever it reaches
+``_CODE_TABLE_CAP`` entries, which bounds its memory; a miss only costs
+the search again.
 
 A run reads few of the entries it loads, so a loaded line in the form
 ``save_cache`` writes stays text in the memo until its first read, and
@@ -202,7 +202,7 @@ class SkeinEngine:
             raise DiagramError("the empty diagram has no HOMFLYPT polynomial")
         t0 = time.monotonic()
         core, removed = d.simplify()
-        exponent, pieces = _decompose(core.crossings, removed, self._codes)
+        exponent, pieces = _decompose(core, removed, self._codes)
         for code, piece in pieces:
             self._resolve(piece, code, t0)
         result = self._product(exponent, pieces)
@@ -217,10 +217,11 @@ class SkeinEngine:
             result = result * self.value(code)
         return result
 
-    def _resolve(self, piece0, code0: bytes, t0: float) -> None:
+    def _resolve(self, piece0: LinkDiagram, code0: bytes, t0: float) -> None:
         """Evaluate one piece of ``_decompose`` into the memo; ``t0`` is when
-        homfly() began.  A node's terms are made on its first visit and
-        summed on its second (module docstring)."""
+        homfly() began.  A node's terms are made on its first visit, where
+        each chain result becomes a diagram and is split, and summed on its
+        second (module docstring)."""
         memo = self.memo
         codes = self._codes
         if code0 in memo:
@@ -249,11 +250,9 @@ class SkeinEngine:
                     elapsed=time.monotonic() - t0,
                     memo_size=len(memo),
                 )
-            if type(piece) is tuple:  # known to the code table, not built until now
-                piece = LinkDiagram._trusted(piece)
             terms = nodes[code] = []
             for coeff, crossings, removed in _chain(piece):
-                exponent, children = _decompose(crossings, removed, codes)
+                exponent, children = _decompose(LinkDiagram._trusted(crossings), removed, codes)
                 terms.append((coeff, exponent, children))
                 for child in children:
                     if child[0] in memo:
@@ -282,32 +281,28 @@ def _chain(piece: LinkDiagram):
     yield _monomial(1, k, 0), (), piece.component_count()
 
 
-def _decompose(crossings: tuple, removed: int, codes: dict):
-    """Split the simplified diagram with these crossings, which shed
-    ``removed`` loops: P = delta^exponent * product of piece values.
+def _decompose(d: LinkDiagram, removed: int, codes: dict):
+    """Split the simplified diagram d, which shed ``removed`` loops:
+    P = delta^exponent * product of piece values.
 
-    Returns (exponent, [(code, piece)]).  ``codes`` is the engine's
-    crossings -> canonical code table, and it is asked for the whole
-    crossing tuple first: a diagram it knows is one piece, returned as the
-    tuple itself, so no ``LinkDiagram`` is built for it here.  Any other
-    piece is the ``LinkDiagram`` that ``split_pieces`` built.  The pieces
-    keep the ``split_pieces`` order, first crossing first; it decides which
-    labelled copy of a repeated code is expanded, and so the node counts
-    (module docstring).
+    Returns (exponent, [(code, piece)]), each piece a ``LinkDiagram``.
+    ``codes`` is the engine's crossings -> canonical code table, asked once,
+    for d's crossings: it holds only pieces, so on a hit d is its one piece.
+    On a miss each piece of d is searched: a one-piece d would miss again,
+    and the pieces of a split d almost never hit.  An empty d has no pieces.
+    The pieces keep the ``split_pieces`` order, first crossing first; it
+    decides which labelled copy of a repeated code is expanded, and so the
+    node counts (module docstring).
     """
-    if not crossings:
-        return removed - 1, []
-    code = codes.get(crossings)
+    code = codes.get(d.crossings)
     if code is not None:
-        return removed, [(code, crossings)]
-    pieces = LinkDiagram._trusted(crossings).split_pieces()
+        return removed, [(code, d)]
+    pieces = d.split_pieces()
     coded = []
     for p in pieces:
-        code = codes.get(p.crossings)
-        if code is None:
-            if len(codes) >= _CODE_TABLE_CAP:
-                codes.clear()
-            code = codes[p.crossings] = p.canonical_code()
+        if len(codes) >= _CODE_TABLE_CAP:
+            codes.clear()
+        code = codes[p.crossings] = p.canonical_code()
         coded.append((code, p))
     return removed + len(pieces) - 1, coded
 
@@ -318,16 +313,15 @@ def _self_check(d: LinkDiagram, p: LaurentPoly2) -> None:
     It is the only such guard: reports do not repeat it.  A violation means
     an engine bug or a wrong disk-cache entry.
     """
-    st = d.stats()
+    bound = d.crossing_count() - d.seifert_circle_count() + 1
+    components = d.component_count()
     if p.is_zero:
         raise SelfCheckError("engine produced the zero polynomial")
-    if p.max_z_degree() > st.morton_bound:
-        raise SelfCheckError(
-            f"Morton bound violated: max_z {p.max_z_degree()} > {st.morton_bound}"
-        )
-    want = (st.components - 1) % 2
+    if p.max_z_degree() > bound:
+        raise SelfCheckError(f"Morton bound violated: max_z {p.max_z_degree()} > {bound}")
+    want = (components - 1) % 2
     for ev, ez in p.terms():
         if ev % 2 != want or ez % 2 != want:
             raise SelfCheckError(
-                f"exponent parity violated at v^{ev} z^{ez} with {st.components} components"
+                f"exponent parity violated at v^{ev} z^{ez} with {components} components"
             )

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from skeinkit import cli, jones, satellite
+from skeinkit import cli, jones, satellite, suites
 from skeinkit.cli import main
 from skeinkit.diagram import LinkDiagram
 from skeinkit.skein import SkeinEngine
@@ -71,6 +71,23 @@ def test_stats_json_and_csv(capsys):
     code, out, _ = run(capsys, "stats", "--braid", "2: 1 1 1", "--out", "csv")
     assert code == 0
     assert out.splitlines() == [",".join(keys), "braid(2: 1 1 1),3,2,3,1,2,1"]
+
+
+def test_stats_genus_of_split_diagrams(capsys):
+    # One Seifert surface per connected part: a trefoil beside a free
+    # circle has genus 1, and two kinked circles side by side genus 0.
+    for braid, genus in (("3: 1 1 1", 1), ("4: 1 3", 0)):
+        code, out, _ = run(capsys, "stats", "--braid", braid)
+        assert code == 0
+        assert "mu=2" in out and f"genus={genus}" in out
+
+
+def test_homfly_csv_row_without_checks(capsys):
+    code, out, _ = run(capsys, "homfly", "--braid", "2: 1 1 1", "--out", "csv")
+    assert code == 0
+    row = out.splitlines()[1].split(",")
+    assert row[:4] == ["braid(2: 1 1 1)", "skein", "2", "2"]
+    assert row[4:9] == [""] * 5
 
 
 def test_usage_errors(capsys):
@@ -310,6 +327,13 @@ def test_verify_borromean_json(tmp_path, capsys):
     notes = [c.get("note", "") for c in rep["checks"]]
     assert any("antisymmetry predicts -12" in n for n in notes)
     assert cache.exists()
+
+
+def test_verify_exits_1_on_a_failed_check(capsys, monkeypatch):
+    monkeypatch.setitem(suites.BORROMEAN_DOUBLE_TABLE[11], 1, 3)
+    code, out, _ = run(capsys, "verify", "--suite", "borromean")
+    assert code == 1
+    assert "1 failed" in out
 
 
 def test_verify_props_csv(capsys):

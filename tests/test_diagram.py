@@ -227,6 +227,12 @@ def test_validation_rejects_bad_arcs():
         LinkDiagram([Crossing(1, 1, 1, 1, 5)])
     with pytest.raises(DiagramError, match="arc 1 has two heads"):
         LinkDiagram([Crossing(1, 2, 1, 2, 1), Crossing(3, 4, 3, 4, 0)])
+    with pytest.raises(DiagramError, match="free_loops must be nonnegative"):
+        LinkDiagram((), -1)
+    with pytest.raises(DiagramError, match="arc 1 has two heads"):
+        LinkDiagram([Crossing(1, 2, 3, 4, 1), Crossing(1, 5, 6, 7, 1)])
+    with pytest.raises(DiagramError, match="arc 2 has two tails"):
+        LinkDiagram([Crossing(1, 2, 3, 4, 1), Crossing(5, 2, 6, 7, 1)])
 
 
 def test_split_pieces():

@@ -79,6 +79,11 @@ def test_canonical_double_rejects_links():
         canonical_whitehead(from_braid_closure(BraidWord(2, (1, 1))), 0, 1)
 
 
+def test_canonical_whitehead_rejects_a_bad_clasp_sign():
+    with pytest.raises(DiagramError, match="clasp_sign must be"):
+        canonical_whitehead(TREFOIL, 0, 0)
+
+
 def test_canonical_double_of_round_unknot():
     assert canonical_double(LinkDiagram((), 1), 0) == LinkDiagram((), 2)
     d = canonical_double(LinkDiagram((), 1), 3)

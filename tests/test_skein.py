@@ -277,27 +277,30 @@ def test_memo_dag_of_doubled_borromean_rings_is_pinned(monkeypatch):
     # that point at a finished node, and the key digest pins the codes a
     # disk cache is keyed by.  The smoothings and chain-end reductions pin
     # where the chains end: chains run to their descending ends smooth
-    # 3,077 and 3,220 times and reduce never.
+    # 3,077 and 3,220 times and reduce never.  The code searches pin what
+    # the crossings -> code table saves.
     calls = []
-    for name in ("smoothed", "reduced"):
-        method = getattr(_WorkingDiagram, name)
+    for cls, name in ((_WorkingDiagram, "smoothed"), (_WorkingDiagram, "reduced"),
+                      (LinkDiagram, "canonical_code")):
+        method = getattr(cls, name)
 
         def counting(self, *args, name=name, method=method):
             calls.append(name)
             return method(self, *args)
 
-        monkeypatch.setattr(_WorkingDiagram, name, counting)
+        monkeypatch.setattr(cls, name, counting)
     pins = (
-        (1, 819, 955, 1312, 689, "d20da2904377cd2b53767d4962c71b70fca61affe0e4cf309093388c512d72e5"),
-        (-1, 853, 1043, 1538, 712, "67afc685f05cc70920e2a757b0b915636b2f0ceba9b4ba51f6e0458960ddce56"),
+        (1, 819, 955, 1312, 689, 1434, "d20da2904377cd2b53767d4962c71b70fca61affe0e4cf309093388c512d72e5"),
+        (-1, 853, 1043, 1538, 712, 1536, "67afc685f05cc70920e2a757b0b915636b2f0ceba9b4ba51f6e0458960ddce56"),
     )
-    for top_sign, nodes, hits, smoothed, reduced, digest in pins:
+    for top_sign, nodes, hits, smoothed, reduced, searches, digest in pins:
         calls.clear()
         e = SkeinEngine()
         e.homfly(blackboard_double(quasitoric_closure(2, top_sign)))
         assert e.counters()["nodes"] == nodes
         assert e.counters()["memo_hits"] == hits
         assert (calls.count("smoothed"), calls.count("reduced")) == (smoothed, reduced)
+        assert calls.count("canonical_code") == searches
         assert memo_key_digest(e) == digest
 
 
@@ -520,6 +523,11 @@ def test_saved_lines_are_canonical_lines(borromean_cache, tmp_path):
     lines += (tmp_path / "more.cache").read_text().splitlines()
     matches = [_CANONICAL_LINE.fullmatch(line) for line in lines]
     assert all(m and not len(m[1]) % 2 for m in matches)
+
+
+def test_save_cache_needs_a_path():
+    with pytest.raises(ValueError, match="no cache path configured"):
+        SkeinEngine().save_cache()
 
 
 def test_loading_and_saving_rewrites_the_same_bytes(borromean_cache, tmp_path):
