@@ -51,6 +51,7 @@ from __future__ import annotations
 import re
 import struct
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple
 
 from .braid import BraidWord
@@ -137,16 +138,17 @@ class _WorkingDiagram:
         Each merged class takes its smallest arc id, and only the crossings
         that carry one of its arcs are relabeled.  A class left with no
         port closes into a loop.  Returns (loops, touched crossings).
+
+        The two pairs of an R2 move share no arc: at a coherent bigon
+        (ci, dj) a component would run ci, dj, ci, dj, one crossing between
+        two visits of ci, which Gauss's parity condition forbids in a planar
+        diagram; at an incoherent one ci or dj would be a kink, removed first.
         """
         cs, head, tail = self.cs, self.head, self.tail
         for ci in dead:
             over_in, over_out, under_in, under_out, _ = cs[ci]
             cs[ci] = None
             del head[over_in], head[under_in], tail[over_out], tail[under_out]
-        if len(pairs) == 2:
-            (a, b), second = pairs
-            if a in second or b in second:
-                pairs = ({a, b, *second},)
         loops = 0
         touched = []
         for members in pairs:
@@ -575,106 +577,36 @@ class LinkDiagram:
 
         Minimal lexicographic token stream over all traversal starts:
         components are walked in every admissible order, crossings labeled
-        by first visit, each step emitting (label, role, sign).  Equal
-        diagrams up to arc/crossing relabeling yield equal codes; no
-        randomized hashing is involved.
+        by first visit, each step emitting (label, role, sign) and each walk
+        closed by a separator.  Equal diagrams up to arc/crossing relabeling
+        yield equal codes; no randomized hashing is involved.
 
-        The search is bounded without changing its result: a walk stops
-        as soon as it is greater than the lowest walk found so far at its
-        level, or, while the prefix runs level with the best complete
-        stream, greater than that stream.
+        The separator outranks every token, so the least stream takes the
+        least walk at each level.  Past the first level each walk is forced:
+        the least first token has the least label an unwalked component
+        meets, and that crossing has one unwalked pass (a walked one labeled
+        it).  Only a split diagram can leave no such crossing; that level is
+        searched like the first, from each start with the least first two
+        tokens (the first is least at an over pass, of a negative crossing
+        if any).  A searched walk stops once greater than the least so far
+        or, while the stream is level with the best one, than that stream.
+        Each tied walk is completed from the labels it gave.
         """
+        crossings = self.crossings
+        if len(crossings) >= 16000:
+            raise DiagramError("diagram too large to encode")
         comps = self._components()
         if not comps:
             return struct.pack(">III", self.free_loops, 0, 0)
-        if len(self.crossings) >= 16000:
-            raise DiagramError("diagram too large to encode")
-
-        crossings = self.crossings
-        step = {}  # arc -> (crossing, role and sign bits, next arc)
-        for arc, (ci, role) in self._head.items():
-            c = crossings[ci]
-            step[arc] = (
-                ci,
-                (role << 1) | (1 if c.sign > 0 else 0),
-                c.over_out if role == OVER else c.under_out,
-            )
-        labels = [-1] * len(crossings)
-
-        def walk(start, nxt, bound):
-            # The walk's tokens and newly labeled crossings, or None once it
-            # exceeds ``bound``.  Leaves ``labels`` as it found them.
-            tokens = []
-            new = []
-            tight = bound is not None
-            found = None
-            arc = start
-            while True:
-                ci, bits, arc = step[arc]
-                label = labels[ci]
-                if label < 0:
-                    label = labels[ci] = nxt + len(new)
-                    new.append(ci)
-                token = (label << 2) | bits
-                if tight and token != bound[len(tokens)]:
-                    if token > bound[len(tokens)]:
-                        break
-                    tight = False
-                tokens.append(token)
-                if arc == start:
-                    if not tight or bound[len(tokens)] == _SEPARATOR:
-                        tokens.append(_SEPARATOR)
-                        found = (tuple(tokens), new)
-                    break
-            for ci in new:
-                labels[ci] = -1
-            return found
-
-        best = None
-
-        def search(remaining, nxt, prefix):
-            nonlocal best
-            # Every walk of a level is bounded by the best stream found so
-            # far, so a prefix never exceeds the best stream's prefix: it is
-            # level with it (and bounded by its rest) or already lower.
-            bound = None
-            if best is not None and prefix == best[: len(prefix)]:
-                bound = best[len(prefix) :]
-            if not remaining:
-                if best is None or prefix < best:
-                    best = prefix
-                return
-            lowest = None
-            ties = []
-            for k, comp in enumerate(remaining):
-                for start in comp:
-                    limit = bound if lowest is None else lowest
-                    if limit is not None:
-                        # most walks lose on their first token: test it inline
-                        ci, bits, _ = step[start]
-                        label = labels[ci]
-                        if (((nxt if label < 0 else label) << 2) | bits) > limit[0]:
-                            continue
-                    found = walk(start, nxt, limit)
-                    if found is None:
-                        continue
-                    tokens, new = found
-                    if tokens != lowest:
-                        lowest = tokens
-                        ties = []
-                    ties.append((k, new))
-            for k, new in ties:
-                for i, ci in enumerate(new):
-                    labels[ci] = nxt + i
-                search(remaining[:k] + remaining[k + 1 :], nxt + len(new), prefix + lowest)
-                for ci in new:
-                    labels[ci] = -1
-
-        search(comps, 0, ())
-        tokens = best
-        return struct.pack(
-            ">III", self.free_loops, len(self.crossings), len(tokens)
-        ) + struct.pack(f">{len(tokens)}H", *tokens)
+        step = {}  # arc -> (crossing, role and sign bits, next arc) at its head
+        for ci, c in enumerate(crossings):
+            positive = c[4] > 0
+            step[c[0]] = (ci, positive, c[1])
+            step[c[2]] = (ci, 2 | positive, c[3])
+        owner = {arc: k for k, comp in enumerate(comps) for arc in comp}  # arc -> component
+        best = _complete(crossings, step, owner, {}, set(range(len(comps))), [], 0, None)
+        header = struct.pack(">III", self.free_loops, len(crossings), len(best))
+        return header + struct.pack(f">{len(best)}H", *best)
 
     # -- PD text form --------------------------------------------------
 
@@ -729,6 +661,74 @@ class LinkDiagram:
                 f"PD code is not planar: {faces} faces for {len(crossings)} crossings"
             )
         return d
+
+
+def _walk(step, labels, start, bound):
+    """A ``canonical_code`` walk's tokens from arc ``start``, or None once they
+    exceed ``bound``; ``labels`` (crossing -> label) takes its new crossings."""
+    tokens = []
+    tight = bound is not None
+    arc = start
+    while True:
+        ci, bits, arc = step[arc]
+        token = (labels.setdefault(ci, len(labels)) << 2) | bits
+        if tight and token != bound[len(tokens)]:
+            if token > bound[len(tokens)]:
+                return None
+            tight = False
+        tokens.append(token)
+        if arc == start:
+            if tight and bound[len(tokens)] != _SEPARATOR:
+                return None
+            tokens.append(_SEPARATOR)
+            return tokens
+
+
+def _complete(crossings, step, owner, labels, todo, stream, j, best):
+    """The least of ``best`` and the ``canonical_code`` streams that extend
+    ``stream``, whose walks gave ``labels`` and left the components ``todo``
+    (all three change in place); no crossing labeled before ``j`` has a pass in ``todo``."""
+    tight = best is not None and stream == best[: len(stream)]
+    while todo:
+        for ci in islice(labels, j, None):
+            c = crossings[ci]
+            start = c[0] if owner[c[0]] in todo else c[2]
+            if owner[start] in todo:
+                break
+            j += 1
+        else:
+            break
+        todo.remove(owner[start])
+        tokens = _walk(step, labels, start, best[len(stream) :] if tight else None)
+        if tokens is None:
+            return best
+        tight = tight and tokens == best[len(stream) : len(stream) + len(tokens)]
+        stream += tokens
+    else:
+        return stream if best is None else min(best, stream)
+    # a split: every crossing is walked through twice or not yet
+    lowest = best[len(stream) :] if tight else None
+    fresh = [c for ci, c in enumerate(crossings) if ci not in labels] if j else crossings
+    starts = [c[0] for c in fresh if c[4] < 0] or [c[0] for c in fresh]
+    seconds = []  # each start's second token, its label taken relative to the first
+    for start in starts:
+        ci, _, arc = step[start]
+        cj, bits, _ = step[arc]
+        seconds.append(_SEPARATOR if arc == start else (cj != ci) << 2 | bits)
+    least = min(seconds)
+    ties = []
+    for start in [s for s, second in zip(starts, seconds) if second == least]:
+        tied = labels.copy()
+        tokens = _walk(step, tied, start, lowest)
+        if tokens is None:
+            continue
+        if tokens != lowest:
+            lowest = tokens
+            ties = []
+        ties.append((owner[start], tied))
+    for k, tied in ties:
+        best = _complete(crossings, step, owner, tied, todo - {k}, stream + lowest, j, best)
+    return best
 
 
 def from_braid_closure(b: BraidWord) -> LinkDiagram:

@@ -201,6 +201,14 @@ def test_pd_parser_refuses_non_planar_codes():
         LinkDiagram.from_pd_text(text)
 
 
+def test_r2_pairs_sharing_an_arc_are_refused_as_not_planar():
+    # The one input seen to give an R2 move whose two pairs share an arc: a
+    # coherent bigon on a component that runs c0, c1, c0, c1.  Gauss's parity
+    # condition rules that out in the plane, so splice never merges the pairs.
+    with pytest.raises(DiagramError, match="not planar: 2 faces for 2 crossings"):
+        LinkDiagram.from_pd_text("PD[X(0,1,2,3;+1), X(1,2,3,0;+1)]")
+
+
 def test_pd_sign_needs_its_digit():
     with pytest.raises(DiagramError, match="unrecognized tokens"):
         LinkDiagram.from_pd_text("PD[X(0,3,1,2;), X(2,5,3,4;+), X(4,1,5,0;1)]")
@@ -623,6 +631,31 @@ def test_multi_component_codes_match_oracle():
                 assert piece.canonical_code() == oracle_code(piece)
             w.switch(x)
         assert d.canonical_code() == oracle_code(d)
+
+
+def test_split_and_tied_codes_match_oracle():
+    hopf, trefoil, mirror = closure([1, 1]), closure([1, 1, 1]), closure([-1, -1, -1])
+    # split diagrams: after the first piece no unwalked component meets a
+    # labeled crossing, so each further piece's first walk is searched
+    split = [
+        LinkDiagram(shifted(hopf, 0) + shifted(trefoil, 100)),
+        LinkDiagram(shifted(hopf, 0) + shifted(mirror, 100)),
+        LinkDiagram(shifted(hopf, 0) + shifted(trefoil, 100) + shifted(hopf, 200)),
+    ]
+    for d, pieces in zip(split, (2, 2, 3)):
+        assert len(d.split_pieces()) == pieces
+        assert d.canonical_code() == oracle_code(d)
+    # symmetric pieces whose least first walks tie
+    for d in (closure([1, 1, 1, 1]), blackboard_double(hopf)):
+        assert d.component_count() >= 2
+        assert d.canonical_code() == oracle_code(d)
+
+
+def test_canonical_code_refuses_large_diagrams_before_walking_them():
+    d = closure([1] * 16000)
+    with pytest.raises(DiagramError, match="too large to encode"):
+        d.canonical_code()
+    assert d._comps is None  # no component walk was made
 
 
 def test_closure_matches_relabel_oracle_on_exhaustive_words():
