@@ -9,9 +9,8 @@ A diagram is a tuple of crossings plus a count of crossing-free circles
 
 Arcs are oriented edges of the underlying 4-valent graph: every arc id
 occurs exactly once at an ``*_in`` port (its head) and exactly once at an
-``*_out`` port (its tail).  Diagrams built in the package (braid closures,
-the satellite constructors) are planar by construction; a PD text is also
-checked for planarity when it is parsed (``from_pd_text``).
+``*_out`` port (its tail).  ``LinkDiagram(...)`` also checks planarity,
+so a parsed PD text is checked too (``from_pd_text``).
 
 Port convention (a repo convention; the sign disambiguates the embedding):
 the text form is ``PD[X(a,b,c,d;s), ...]`` with a..d in the order
@@ -36,14 +35,16 @@ copy returns its exact crossing tuple, which the engine makes a
 that moves rebuilt.
 
 ``LinkDiagram(...)`` validates its input.  A diagram that the core derives
-from a valid one (a smoothing, a ``simplify`` result, a ``split_pieces``
-piece) is built by ``LinkDiagram._trusted``, which only builds the head
-map and makes each plain 5-tuple a ``Crossing``.  Its precondition is that
-the crossings are 5-tuples in ``Crossing`` field order with signs +1 or
--1, and that every arc is the head of exactly one port and the tail of
-exactly one port; the moves keep that (switching keeps each arc's ends,
-and a splice gives each merged class one head and one tail or closes it
-into a loop).
+from a valid one (a smoothing, a switch, a mirror, a ``simplify`` result,
+a ``split_pieces`` piece) or builds planar by construction (a braid
+closure, the satellite doubles) is built by ``LinkDiagram._trusted``,
+which only builds the head map and makes each plain 5-tuple a
+``Crossing``.  Its precondition is that the crossings are 5-tuples in
+``Crossing`` field order with signs +1 or -1, that every arc is the head of
+exactly one port and the tail of exactly one port, and that the diagram is
+planar; the moves keep that (switching keeps each arc's ends and the
+embedding, and a splice gives each merged class one head and one tail or
+closes it into a loop).
 """
 
 from __future__ import annotations
@@ -354,13 +355,32 @@ class LinkDiagram:
         self.free_loops = free_loops
         self._head = head
         self._comps = None
+        # Planar iff every crossing-connected piece has F = c + 2 faces
+        # (Euler, with 2c edges), where the faces are the orbits of "cross
+        # the arc, then turn counterclockwise" on the ports.
+        other = {}
+        for ci, c in enumerate(crossings):
+            for slot, arc in enumerate(c[:4]):
+                other.setdefault(arc, []).append((ci, slot))
+        other = {p: q for p, q in other.values() for p, q in ((p, q), (q, p))}
+        seen = set()
+        faces = 0
+        for port in other:
+            faces += port not in seen
+            while port not in seen:
+                seen.add(port)
+                ci, slot = other[port]
+                port = (ci, _CCW[crossings[ci].sign][slot])
+        if faces != len(crossings) + 2 * len(self.split_pieces()):
+            raise DiagramError(f"diagram is not planar: {faces} faces for {len(crossings)} crossings")
 
     @classmethod
     def _trusted(cls, crossings, free_loops: int = 0) -> "LinkDiagram":
-        """A diagram derived in the core from a valid one: only the head map
-        is built, with none of the checks (precondition in the module
-        docstring).  Each plain 5-tuple among the crossings becomes a
-        ``Crossing`` here, the one place a working form's crossings leave."""
+        """A diagram derived in the core from a valid one, or planar by
+        construction: only the head map is built, with none of the checks
+        (precondition in the module docstring).  Each plain 5-tuple among
+        the crossings becomes a ``Crossing`` here, the one place a working
+        form's crossings leave."""
         d = object.__new__(cls)
         crossings = tuple([c if type(c) is Crossing else _as_crossing(Crossing, c) for c in crossings])
         head = {}
@@ -481,7 +501,7 @@ class LinkDiagram:
             raise DiagramError(f"no crossing {x}")
         cs = list(self.crossings)
         cs[x] = cs[x].switched()
-        return LinkDiagram(cs, self.free_loops)
+        return LinkDiagram._trusted(cs, self.free_loops)
 
     def smooth_crossing(self, x: int) -> "LinkDiagram":
         """Remove crossing x by the oriented smoothing, reconnecting arcs."""
@@ -492,7 +512,7 @@ class LinkDiagram:
         return LinkDiagram._trusted(w.crossings(), self.free_loops + loops)
 
     def mirror(self) -> "LinkDiagram":
-        return LinkDiagram([c.switched() for c in self.crossings], self.free_loops)
+        return LinkDiagram._trusted([c.switched() for c in self.crossings], self.free_loops)
 
     # -- Reidemeister simplification -------------------------------------
 
@@ -575,6 +595,10 @@ class LinkDiagram:
     def canonical_code(self) -> bytes:
         """Relabeling-invariant serialization; the memo and cache key.
 
+        Defined for a crossing-connected diagram, the only kind the skein
+        engine codes (its pieces come from ``split_pieces``); a diagram with
+        no crossings, or split, raises ``DiagramError``.
+
         Minimal lexicographic token stream over all traversal starts:
         components are walked in every admissible order, crossings labeled
         by first visit, each step emitting (label, role, sign) and each walk
@@ -582,29 +606,49 @@ class LinkDiagram:
         yield equal codes; no randomized hashing is involved.
 
         The separator outranks every token, so the least stream takes the
-        least walk at each level.  Past the first level each walk is forced:
+        least walk at each level.  The first walk is searched from each
+        start with the least first two tokens (the first is least at an
+        over pass, of a negative crossing if any).  Each tied first walk is
+        completed from the labels it gave, and every later walk is forced:
         the least first token has the least label an unwalked component
         meets, and that crossing has one unwalked pass (a walked one labeled
-        it).  Only a split diagram can leave no such crossing; that level is
-        searched like the first, from each start with the least first two
-        tokens (the first is least at an over pass, of a negative crossing
-        if any).  A searched walk stops once greater than the least so far
-        or, while the stream is level with the best one, than that stream.
-        Each tied walk is completed from the labels it gave.
+        it).  A walk stops once greater than the least so far or, while the
+        stream is level with the best one, than that stream.
         """
         crossings = self.crossings
         if len(crossings) >= 16000:
             raise DiagramError("diagram too large to encode")
+        if not crossings:
+            raise DiagramError("a diagram with no crossings has no canonical code")
         comps = self._components()
-        if not comps:
-            return struct.pack(">III", self.free_loops, 0, 0)
         step = {}  # arc -> (crossing, role and sign bits, next arc) at its head
         for ci, c in enumerate(crossings):
             positive = c[4] > 0
             step[c[0]] = (ci, positive, c[1])
             step[c[2]] = (ci, 2 | positive, c[3])
         owner = {arc: k for k, comp in enumerate(comps) for arc in comp}  # arc -> component
-        best = _complete(crossings, step, owner, {}, set(range(len(comps))), [], 0, None)
+        starts = [c[0] for c in crossings if c[4] < 0] or [c[0] for c in crossings]
+        seconds = []  # each start's second token, its label taken relative to the first
+        for start in starts:
+            ci, _, arc = step[start]
+            cj, bits, _ = step[arc]
+            seconds.append(_SEPARATOR if arc == start else (cj != ci) << 2 | bits)
+        least = min(seconds)
+        lowest = None
+        ties = []
+        for start in [s for s, second in zip(starts, seconds) if second == least]:
+            labels = {}
+            tokens = _walk(step, labels, start, lowest)
+            if tokens is None:
+                continue
+            if tokens != lowest:
+                lowest = tokens
+                ties = []
+            ties.append((owner[start], labels))
+        best = None
+        for k, labels in ties:
+            todo = set(range(len(comps))) - {k}
+            best = _complete(crossings, step, owner, labels, todo, list(lowest), best)
         header = struct.pack(">III", self.free_loops, len(crossings), len(best))
         return header + struct.pack(f">{len(best)}H", *best)
 
@@ -639,28 +683,7 @@ class LinkDiagram:
             raise DiagramError(f"unrecognized tokens in PD text: {text!r}")
         if not crossings and not loops:
             raise DiagramError(f"PD text has no crossings and no loops: {text!r}")
-        d = LinkDiagram(crossings, loops)
-        # Planar iff every crossing-connected piece has F = c + 2 faces
-        # (Euler, with 2c edges), where the faces are the orbits of "cross
-        # the arc, then turn counterclockwise" on the ports.
-        other = {}
-        for ci, c in enumerate(crossings):
-            for slot, arc in enumerate(c[:4]):
-                other.setdefault(arc, []).append((ci, slot))
-        other = {p: q for p, q in other.values() for p, q in ((p, q), (q, p))}
-        seen = set()
-        faces = 0
-        for port in other:
-            faces += port not in seen
-            while port not in seen:
-                seen.add(port)
-                ci, slot = other[port]
-                port = (ci, _CCW[crossings[ci].sign][slot])
-        if faces != len(crossings) + 2 * len(d.split_pieces()):
-            raise DiagramError(
-                f"PD code is not planar: {faces} faces for {len(crossings)} crossings"
-            )
-        return d
+        return LinkDiagram(crossings, loops)
 
 
 def _walk(step, labels, start, bound):
@@ -684,11 +707,12 @@ def _walk(step, labels, start, bound):
             return tokens
 
 
-def _complete(crossings, step, owner, labels, todo, stream, j, best):
-    """The least of ``best`` and the ``canonical_code`` streams that extend
-    ``stream``, whose walks gave ``labels`` and left the components ``todo``
-    (all three change in place); no crossing labeled before ``j`` has a pass in ``todo``."""
+def _complete(crossings, step, owner, labels, todo, stream, best):
+    """The least of ``best`` and the ``canonical_code`` stream that extends
+    ``stream`` by forced walks, where ``stream``'s walks gave ``labels`` and
+    left the components ``todo`` (all three change in place)."""
     tight = best is not None and stream == best[: len(stream)]
+    j = 0  # no crossing labeled before j has a pass in todo
     while todo:
         for ci in islice(labels, j, None):
             c = crossings[ci]
@@ -697,38 +721,14 @@ def _complete(crossings, step, owner, labels, todo, stream, j, best):
                 break
             j += 1
         else:
-            break
+            raise DiagramError("a split diagram has no canonical code")
         todo.remove(owner[start])
         tokens = _walk(step, labels, start, best[len(stream) :] if tight else None)
         if tokens is None:
             return best
         tight = tight and tokens == best[len(stream) : len(stream) + len(tokens)]
         stream += tokens
-    else:
-        return stream if best is None else min(best, stream)
-    # a split: every crossing is walked through twice or not yet
-    lowest = best[len(stream) :] if tight else None
-    fresh = [c for ci, c in enumerate(crossings) if ci not in labels] if j else crossings
-    starts = [c[0] for c in fresh if c[4] < 0] or [c[0] for c in fresh]
-    seconds = []  # each start's second token, its label taken relative to the first
-    for start in starts:
-        ci, _, arc = step[start]
-        cj, bits, _ = step[arc]
-        seconds.append(_SEPARATOR if arc == start else (cj != ci) << 2 | bits)
-    least = min(seconds)
-    ties = []
-    for start in [s for s, second in zip(starts, seconds) if second == least]:
-        tied = labels.copy()
-        tokens = _walk(step, tied, start, lowest)
-        if tokens is None:
-            continue
-        if tokens != lowest:
-            lowest = tokens
-            ties = []
-        ties.append((owner[start], tied))
-    for k, tied in ties:
-        best = _complete(crossings, step, owner, tied, todo - {k}, stream + lowest, j, best)
-    return best
+    return stream if best is None else min(best, stream)
 
 
 def from_braid_closure(b: BraidWord) -> LinkDiagram:
@@ -758,4 +758,4 @@ def from_braid_closure(b: BraidWord) -> LinkDiagram:
         else:
             crossings.append(Crossing(right, new_left, left, new_right, -1))
         current[p], current[p + 1] = new_left, new_right
-    return LinkDiagram(crossings, n - len(last))
+    return LinkDiagram._trusted(crossings, n - len(last))

@@ -48,4 +48,4 @@ class SelfCheckError(SkeinKitError):
 
 class CacheCorruptionError(SkeinKitError):
     """A memo entry would be overwritten with a different value, or a
-    disk-cache line does not parse."""
+    disk-cache line is not in the form ``save_cache`` writes."""

@@ -14,8 +14,10 @@ other raises ``TypeError``; ints mix with both in ``+``, ``*`` and ``==``.
 
 Canonical text form of ``LaurentPoly2``: terms sorted by (e_z, e_v)
 ascending, each rendered ``c*v^a*z^b``, joined by `` + ``; the zero
-polynomial prints as ``0``.  This is the cache and CLI exchange format, and
-``parse_text`` round-trips it.
+polynomial prints as ``0``.  This is the cache and CLI exchange format.
+Its one grammar, ``TEXT_PATTERN``, also admits terms in any order, and
+``parse_text`` refuses any other text.  Exponents stay below 10**9, the
+grammar's 9 digits, so every polynomial formats into text that parses.
 
 The distinguished constant ``DELTA`` is (v^-1 - v) * z^-1, the value of a
 two-component unlink; disjoint unions multiply by it.
@@ -30,9 +32,12 @@ from .errors import ZeroPolynomialError
 
 __all__ = ["LaurentPoly1", "LaurentPoly2", "DELTA", "ZERO", "ONE", "delta_power"]
 
-_TERM_RE = re.compile(r"^(-?\d+)\*v\^(-?\d+)\*z\^(-?\d+)$")
-
-_EXP_BOUND = 2**31
+_EXP_BOUND = 10**9  # |e| < 10**9: at most the grammar's 9 digits
+_TERM = r"(-?[1-9][0-9]*)\*v\^(0|-?[1-9][0-9]{0,8})\*z\^(0|-?[1-9][0-9]{0,8})"
+_TERM_RE = re.compile(_TERM)
+_PLAIN_TERM = _TERM.replace("(", "(?:")  # groups slow a match
+TEXT_PATTERN = rf"0|{_PLAIN_TERM}(?: \+ {_PLAIN_TERM})*"
+_TEXT_RE = re.compile(TEXT_PATTERN)
 
 
 class _SparseLaurent:
@@ -40,7 +45,7 @@ class _SparseLaurent:
 
     Subclasses set ``_CONST`` (the key of the constant term) and define
     what depends on the key shape: ``_in_range`` (every exponent of a term
-    dict is below ``2**31`` in absolute value) and ``__mul__``.
+    dict is below ``_EXP_BOUND`` in absolute value) and ``__mul__``.
     """
 
     __slots__ = ("_terms",)
@@ -58,7 +63,7 @@ class _SparseLaurent:
                     elif key in data:
                         del data[key]
         if not self._in_range(data):
-            raise OverflowError("exponent out of range: |e| >= 2**31")
+            raise OverflowError("exponent out of range: |e| >= 10**9")
         self._terms = data
 
     @classmethod
@@ -249,17 +254,11 @@ class LaurentPoly2(_SparseLaurent):
 
     @staticmethod
     def parse_text(text: str) -> "LaurentPoly2":
-        text = text.strip()
-        if text == "0":
-            return ZERO
-        terms = []
-        for chunk in text.split(" + "):
-            m = _TERM_RE.match(chunk.strip())
-            if not m:
-                raise ValueError(f"bad polynomial term: {chunk!r}")
-            c, ev, ez = (int(g) for g in m.groups())
-            terms.append(((ev, ez), c))
-        return LaurentPoly2(terms)
+        """The polynomial of text in the ``TEXT_PATTERN`` grammar; any other
+        text raises ``ValueError``."""
+        if not _TEXT_RE.fullmatch(text):
+            raise ValueError(f"not canonical polynomial text: {text!r}")
+        return LaurentPoly2(((int(ev), int(ez)), int(c)) for c, ev, ez in _TERM_RE.findall(text))
 
     def to_json_terms(self) -> list:
         return [

@@ -98,7 +98,7 @@ def _double_with_map(d: LinkDiagram):
 def blackboard_double(d: LinkDiagram) -> LinkDiagram:
     """The standard antiparallel 2-parallel of a diagram (no extra twists)."""
     crossings, _, _ = _double_with_map(d)
-    return LinkDiagram(crossings, 2 * d.free_loops)
+    return LinkDiagram._trusted(crossings, 2 * d.free_loops)
 
 
 def _full_twist(sign, f_in, f_out, b_in, b_out, p, q):
@@ -175,9 +175,9 @@ def _banded(d: LinkDiagram, m: int, blocks: list, caller: str) -> LinkDiagram:
     if not d.crossings:
         blocks = twists + blocks
         if not blocks:
-            return LinkDiagram((), 2)
+            return LinkDiagram._trusted((), 2)
         crossings, _, _, _ = _chain(blocks, len(blocks) - 1, len(blocks), 0)
-        return LinkDiagram(crossings)
+        return LinkDiagram._trusted(crossings)
     crossings, amap, fresh = _double_with_map(d)
     if twists:
         ci, _ = d.arc_head(min(d.arcs()))
@@ -186,7 +186,7 @@ def _banded(d: LinkDiagram, m: int, blocks: list, caller: str) -> LinkDiagram:
     if blocks:
         a0, a1 = amap[min(d.arcs())]
         crossings, _ = _insert_into_band(crossings, a0, a1, blocks, fresh)
-    return LinkDiagram(crossings)
+    return LinkDiagram._trusted(crossings)
 
 
 def canonical_double(d: LinkDiagram, m: int) -> LinkDiagram:

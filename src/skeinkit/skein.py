@@ -60,12 +60,11 @@ pieces searched.  The table is cleared whenever it reaches
 ``_CODE_TABLE_CAP`` entries, which bounds its memory; a miss only costs
 the search again.
 
-A run reads few of the entries it loads, so a loaded line in the form
-``save_cache`` writes stays text in the memo until its first read, and
-``SkeinEngine.value`` parses it there; a save writes an entry that was never
-read back as the text it was read as.  Any other line is parsed on load, so
-the lines accepted and the ``CacheCorruptionError`` raised, with their line
-numbers, are those of parsing every line.  A check on each cache entry
+``load_cache`` accepts only the lines ``save_cache`` writes, and any other
+line raises ``CacheCorruptionError`` with its line number.  A run reads few
+of the entries it loads, so an entry stays text in the memo until
+``SkeinEngine.value`` first reads and parses it, and a save writes an entry
+never read back as the text it was read as.  A check on each cache entry
 (the Morton bound and parity of its decoded diagram) belongs in ``value``,
 where the entry is first read.
 
@@ -90,7 +89,7 @@ import time
 
 from .diagram import LinkDiagram, _WorkingDiagram
 from .errors import BudgetExceededError, CacheCorruptionError, DiagramError, SelfCheckError
-from .laurent import ZERO, LaurentPoly2, delta_power
+from .laurent import TEXT_PATTERN, ZERO, LaurentPoly2, delta_power
 
 __all__ = ["SkeinEngine"]
 
@@ -107,13 +106,9 @@ _monomial = functools.lru_cache(maxsize=None)(LaurentPoly2.monomial)
 _CODE_TABLE_CAP = 1024
 
 # A cache line as ``save_cache`` writes it, once its hex is of even length:
-# lowercase hex, a TAB, and canonical polynomial text with nonzero
-# coefficients and exponents of at most 9 digits (inside the 2**31 bound),
-# so that it always parses (module docstring).  The length is tested apart:
-# matching hex digits in pairs takes the regex twice as long.
-_EXPONENT = r"(?:0|-?[1-9][0-9]{0,8})"
-_TERM = rf"-?[1-9][0-9]*\*v\^{_EXPONENT}\*z\^{_EXPONENT}"
-_CANONICAL_LINE = re.compile(rf"([0-9a-f]+)\t(0|{_TERM}(?: \+ {_TERM})*)")
+# lowercase hex, a TAB, and canonical polynomial text.  The length is tested
+# apart: matching hex digits in pairs takes the regex twice as long.
+_LINE = re.compile(rf"([0-9a-f]+)\t({TEXT_PATTERN})")
 
 
 class SkeinEngine:
@@ -141,26 +136,16 @@ class SkeinEngine:
                 line = line.strip()
                 if not line:
                     continue
-                m = _CANONICAL_LINE.fullmatch(line)
-                if m and not len(m[1]) % 2:
-                    code, value = bytes.fromhex(m[1]), m[2]
-                else:
-                    code_hex, _, poly_text = line.partition("\t")
-                    try:
-                        code, value = bytes.fromhex(code_hex), LaurentPoly2.parse_text(poly_text)
-                    except (ValueError, OverflowError) as exc:
-                        raise CacheCorruptionError(
-                            f"{path}: bad cache line {lineno}: {line!r} ({exc})"
-                        ) from exc
+                m = _LINE.fullmatch(line)
+                if not m or len(m[1]) % 2:
+                    raise CacheCorruptionError(f"{path}: bad cache line {lineno}: {line!r}")
+                code, text = bytes.fromhex(m[1]), m[2]
                 old = self.memo.get(code)
                 if old is None:
-                    self.memo[code] = value
-                elif old != value:
-                    # A duplicate line: two texts are parsed only when they differ.
-                    if isinstance(value, str):
-                        value = LaurentPoly2.parse_text(value)
-                    if self.value(code) != value:
-                        raise CacheCorruptionError("memo entry conflict for a canonical code")
+                    self.memo[code] = text
+                # A duplicate code: its two texts are parsed only when they differ.
+                elif old != text and self.value(code) != LaurentPoly2.parse_text(text):
+                    raise CacheCorruptionError("memo entry conflict for a canonical code")
                 count += 1
         self.preloaded += count
         return count

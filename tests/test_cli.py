@@ -486,28 +486,36 @@ def test_cache_inspect_and_compact(tmp_path, capsys):
 
 
 def test_cache_compact_writes_canonical_text(tmp_path, capsys):
-    # A hand-edited file that loads: compact writes each entry once, in
-    # canonical text, sorted by line.
+    # A file of lines in the saved grammar, but not as saved: compact writes
+    # each entry once, in canonical text, sorted by line.
     cache = tmp_path / "c.cache"
-    cache.write_text(
+    lines = (
         "0b\t1*v^2*z^2 + 2*v^2*z^0 + -1*v^4*z^0\n"  # terms out of order
-        "0a\t2*v^2*z^0  +  -1*v^4*z^0 + 1*v^2*z^2\n"  # extra spaces around +
-        "0c\t1*v^0*z^0 + 0*v^1*z^1\n"  # a zero term
+        "0a\t2*v^2*z^0 + -1*v^4*z^0 + 1*v^2*z^2\n"
+        "0c\t1*v^0*z^0 + 1*v^1*z^1 + -1*v^1*z^1\n"  # cancelling terms
         "\n"
-        "0a\t2*v^2*z^0 + -1*v^4*z^0 + 1*v^2*z^2\n"  # a duplicate key
-        "0d\t1*v^1000000000*z^0\n"  # a 10-digit exponent
+        "0a\t1*v^2*z^2 + -1*v^4*z^0 + 2*v^2*z^0\n"  # a duplicate key
+        "0d\t1*v^999999999*z^0\n"  # a 9-digit exponent
         "0e\t-1*v^-1*z^1\n"
     )
+    cache.write_text(lines)
     code, out, _ = run(capsys, "cache", "compact", "--cache", str(cache))
     assert code == 0
-    assert out == f"cache {cache}: 5 entries, 179 bytes\nrewrote 5 entries\n"
+    assert out == f"cache {cache}: 5 entries, {len(lines)} bytes\nrewrote 5 entries\n"
     assert cache.read_text() == (
         "0a\t2*v^2*z^0 + -1*v^4*z^0 + 1*v^2*z^2\n"
         "0b\t2*v^2*z^0 + -1*v^4*z^0 + 1*v^2*z^2\n"
         "0c\t1*v^0*z^0\n"
-        "0d\t1*v^1000000000*z^0\n"
+        "0d\t1*v^999999999*z^0\n"
         "0e\t-1*v^-1*z^1\n"
     )
+    # a line outside the grammar is refused, naming its line, and the file stays
+    padded = lines.replace("0e\t-1*v^-1*z^1\n", "0e\t-1*v^-1*z^1  +  1*v^1*z^1\n")
+    cache.write_text(padded)
+    code, out, err = run(capsys, "cache", "compact", "--cache", str(cache))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "bad cache line 7: " in err
+    assert cache.read_text() == padded
 
 
 def test_cache_commands_refuse_a_missing_file(tmp_path, capsys):

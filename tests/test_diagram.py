@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skeinkit import diagram
 from skeinkit.braid import BraidWord, quasitoric_beta
 from skeinkit.diagram import OVER, Crossing, LinkDiagram, _WorkingDiagram, from_braid_closure
 from skeinkit.errors import DiagramError
@@ -159,13 +160,32 @@ def test_canonical_code_relabeling_invariance():
     assert closure([1, 1, 1]).canonical_code() == d.canonical_code()
 
 
-def test_canonical_code_separates_component_structure():
-    # two split Hopf-link pieces vs one 4-crossing piece must not collide
-    two_hopfs = LinkDiagram(
-        list(closure([1, 1]).crossings)
-        + [Crossing(a + 100, b + 100, c + 100, e + 100, s) for a, b, c, e, s in closure([1, 1]).crossings]
-    )
-    assert two_hopfs.canonical_code() != closure([1, 1, 1, 1]).canonical_code()
+def test_canonical_code_separates_component_structure(monkeypatch):
+    # two split Hopf-link pieces vs one 4-crossing piece must not collide:
+    # the split diagram has no code, and each piece has the Hopf link's
+    hopf = closure([1, 1])
+    two_hopfs = LinkDiagram(shifted(hopf, 0) + shifted(hopf, 100))
+    with pytest.raises(DiagramError, match="a split diagram has no canonical code"):
+        two_hopfs.canonical_code()
+    assert [p.canonical_code() for p in two_hopfs.split_pieces()] == [hopf.canonical_code()] * 2
+    assert hopf.canonical_code() != closure([1, 1, 1, 1]).canonical_code()
+    with pytest.raises(DiagramError, match="no crossings has no canonical code"):
+        LinkDiagram((), 2).canonical_code()
+    # k symmetric pieces side by side are refused after 2k + 1 walks, with
+    # no search over the orders of the pieces
+    walks = []
+    walk = diagram._walk
+
+    def counting(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(diagram, "_walk", counting)
+    for k in range(2, 9):
+        walks.clear()
+        with pytest.raises(DiagramError, match="a split diagram"):
+            LinkDiagram([c for i in range(k) for c in shifted(hopf, 100 * i)]).canonical_code()
+        assert len(walks) == 2 * k + 1
 
 
 def test_pd_round_trip():
@@ -207,6 +227,18 @@ def test_r2_pairs_sharing_an_arc_are_refused_as_not_planar():
     # condition rules that out in the plane, so splice never merges the pairs.
     with pytest.raises(DiagramError, match="not planar: 2 faces for 2 crossings"):
         LinkDiagram.from_pd_text("PD[X(0,1,2,3;+1), X(1,2,3,0;+1)]")
+
+
+def test_the_constructor_refuses_non_planar_crossings():
+    # The same component c0, c1, c0, c1 as a crossing list: the skein engine
+    # took it to a SelfCheckError when only the PD parser checked planarity.
+    with pytest.raises(DiagramError, match="not planar: 2 faces for 2 crossings"):
+        LinkDiagram([Crossing(0, 1, 2, 3, 1), Crossing(1, 2, 3, 0, 1)])
+    # a sign that disagrees with the port order of a planar trefoil
+    crossings = list(closure([1, 1, 1]).crossings)
+    crossings[0] = crossings[0]._replace(sign=-1)
+    with pytest.raises(DiagramError, match="not planar: 3 faces for 3 crossings"):
+        LinkDiagram(crossings)
 
 
 def test_pd_sign_needs_its_digit():
@@ -591,8 +623,15 @@ def test_canonical_code_matches_unpruned_oracle(d, data):
     flips = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)) if n else []
     d = LinkDiagram(switched(d, flips), d.free_loops)
     core, _ = d.simplify()
-    for piece in [d, core] + core.split_pieces():
-        assert piece.canonical_code() == oracle_code(piece)
+    for whole in (d, core):
+        pieces = whole.split_pieces()
+        for piece in pieces:
+            assert piece.canonical_code() == oracle_code(piece)
+        if len(pieces) == 1:
+            assert whole.canonical_code() == oracle_code(whole)
+        else:
+            with pytest.raises(DiagramError, match="has no canonical code"):
+                whole.canonical_code()
 
 
 @given(diagrams, st.data())
@@ -608,7 +647,14 @@ def test_canonical_code_invariant_under_relabeling(d, data):
         [Crossing(*(relabel[a] for a in d.crossings[i][:4]), d.crossings[i].sign) for i in order],
         d.free_loops,
     )
-    assert moved.canonical_code() == d.canonical_code()
+    codes = sorted(p.canonical_code() for p in d.split_pieces())
+    assert sorted(p.canonical_code() for p in moved.split_pieces()) == codes
+    if len(codes) == 1:
+        assert moved.canonical_code() == d.canonical_code()
+    else:
+        for whole in (d, moved):
+            with pytest.raises(DiagramError, match="has no canonical code"):
+                whole.canonical_code()
 
 
 def test_multi_component_codes_match_oracle():
@@ -636,7 +682,7 @@ def test_multi_component_codes_match_oracle():
 def test_split_and_tied_codes_match_oracle():
     hopf, trefoil, mirror = closure([1, 1]), closure([1, 1, 1]), closure([-1, -1, -1])
     # split diagrams: after the first piece no unwalked component meets a
-    # labeled crossing, so each further piece's first walk is searched
+    # labeled crossing, so the diagram is refused; its pieces are coded
     split = [
         LinkDiagram(shifted(hopf, 0) + shifted(trefoil, 100)),
         LinkDiagram(shifted(hopf, 0) + shifted(mirror, 100)),
@@ -644,7 +690,10 @@ def test_split_and_tied_codes_match_oracle():
     ]
     for d, pieces in zip(split, (2, 2, 3)):
         assert len(d.split_pieces()) == pieces
-        assert d.canonical_code() == oracle_code(d)
+        with pytest.raises(DiagramError, match="a split diagram has no canonical code"):
+            d.canonical_code()
+        for piece in d.split_pieces():
+            assert piece.canonical_code() == oracle_code(piece)
     # symmetric pieces whose least first walks tie
     for d in (closure([1, 1, 1, 1]), blackboard_double(hopf)):
         assert d.component_count() >= 2

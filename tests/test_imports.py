@@ -2,9 +2,10 @@
 module-level function and private method of the package has a caller in the
 package, every public one is read outside the tests, the three engines
 import none of each other, the package has no ``assert`` statement, only
-``suites._report`` catches a budget error, and every error class is raised,
-directly or through a subclass.  The public functions that only the tests or
-only the benchmark's hooks read are listed, each with a reason."""
+``suites._report`` catches a budget error, every error class is raised,
+directly or through a subclass, and only ``laurent.py`` spells the
+polynomial text grammar.  The public functions that only the tests or only
+the benchmark's hooks read are listed, each with a reason."""
 
 import ast
 from pathlib import Path
@@ -417,3 +418,39 @@ def test_only_diagram_reads_the_working_form():
     assert "cs" in fields
     found = field_reads(package, fields)
     assert not found, "working-form fields read outside diagram.py:\n" + "\n".join(found)
+
+
+# The polynomial text grammar is written once, in ``laurent.py``; the cache
+# line pattern in ``skein.py`` is built from ``laurent.TEXT_PATTERN``.  Every
+# pattern for a term spells its ``*v^`` escaped.
+
+GRAMMAR_MARK = r"\*v\^"
+
+
+def grammar_constants(trees: dict) -> list:
+    """``module:line`` of each string constant in ``trees`` (a dict of module
+    name -> parsed tree) that holds ``GRAMMAR_MARK``, f-string parts included."""
+    return sorted(
+        f"{module}:{node.lineno}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and GRAMMAR_MARK in node.value
+    )
+
+
+def test_grammar_constants_are_caught():
+    tree = ast.parse(
+        r'''A = r"(-?\d+)\*v\^(0)"
+B = rf"{A} \*v\^{A}"
+C = "c*v^a*z^b"
+def f():
+    return re.compile(r"[0-9]\*v\^")
+D = r"\*z\^"
+'''
+    )
+    assert grammar_constants({"a": tree}) == ["a:1", "a:2", "a:5"]
+
+
+def test_only_laurent_spells_the_text_grammar():
+    found = grammar_constants({**parse_folder("src"), **parse_folder("bench")})
+    assert found and {line.rpartition(":")[0] for line in found} == {"src/skeinkit/laurent.py"}, found

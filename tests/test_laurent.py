@@ -1,8 +1,10 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from skeinkit.errors import ZeroPolynomialError
-from skeinkit.laurent import DELTA, ONE, ZERO, LaurentPoly1, LaurentPoly2, delta_power
+from skeinkit.laurent import DELTA, ONE, TEXT_PATTERN, ZERO, LaurentPoly1, LaurentPoly2, delta_power
 
 V = LaurentPoly2.monomial(1, v=1)
 Z = LaurentPoly2.monomial(1, z=1)
@@ -141,10 +143,49 @@ def test_mixed_key_shapes_refused_and_ints_coerced():
 
 def test_exponent_range_checked_for_both_key_shapes():
     with pytest.raises(OverflowError):
-        LaurentPoly1({2**31: 1})
+        LaurentPoly1({10**9: 1})
     with pytest.raises(OverflowError):
-        LaurentPoly2({(0, -(2**31)): 1})
-    assert LaurentPoly1({2**31 - 1: 1, 0: 0}).terms() == {2**31 - 1: 1}
+        LaurentPoly2({(0, -(10**9)): 1})
+    assert LaurentPoly1({10**9 - 1: 1, 0: 0}).terms() == {10**9 - 1: 1}
+
+
+def edge_poly_strategy():
+    """Exponents anywhere inside the bound, coefficients beyond 2**64."""
+    exponent = st.one_of(st.integers(-3, 3), st.integers(-(10**9 - 1), 10**9 - 1))
+    coeff = st.one_of(st.integers(-9, 9), st.integers(-(2**80), 2**80))
+    return st.lists(st.tuples(st.tuples(exponent, exponent), coeff), max_size=5).map(LaurentPoly2)
+
+
+@given(edge_poly_strategy())
+@settings(max_examples=200, deadline=None)
+def test_formatted_text_is_in_the_grammar(p):
+    text = p.format_text()
+    assert re.fullmatch(TEXT_PATTERN, text)
+    assert LaurentPoly2.parse_text(text) == p
+
+
+@given(edge_poly_strategy().filter(bool), st.data())
+@settings(max_examples=200, deadline=None)
+def test_each_grammar_violation_is_refused(p, data):
+    parts = p.format_text().split(" + ")
+    i = data.draw(st.integers(0, len(parts) - 1))
+    c, rest = parts[i].split("*v^")
+    ev, ez = rest.split("*z^")
+    padded = "-0" + ev[1:] if ev.startswith("-") else "0" + ev
+    wide = data.draw(st.sampled_from(["1000000000", "-1000000000", "9999999999", "0000000001"]))
+
+    def with_term(term):
+        return " + ".join(parts[:i] + [term] + parts[i + 1 :])
+
+    for bad in (
+        with_term(f"{c}*v^{padded}*z^{ez}"),  # a leading zero
+        with_term(f"{c}*v^{wide}*z^{ez}"),  # a 10-digit exponent
+        with_term(f"0*v^{ev}*z^{ez} + {parts[i]}"),  # a 0* term
+        with_term(f"{parts[i]}  + {parts[i]}"),  # a double space
+        " + ".join(parts) + " + ",  # a trailing ' + '
+    ):
+        with pytest.raises(ValueError, match="not canonical polynomial text"):
+            LaurentPoly2.parse_text(bad)
 
 
 @given(poly_strategy(), poly_strategy())
