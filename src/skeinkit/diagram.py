@@ -24,15 +24,16 @@ under-in) if s = -1.
 Inside a move, the private working form ``_WorkingDiagram`` (a list of
 plain 5-tuples with tombstones, and arc -> port maps) merges arcs in place,
 so a chain of Reidemeister moves costs what the moves touch, not a rebuild
-per move.  The skein engine keeps one working form per node: it switches
-crossings in place and smooths each bad crossing on a copy
-(``_WorkingDiagram.smoothed``), until a switch leaves a bigon and a reduced
-copy ends the chain (``_WorkingDiagram.reduced``).  The form also holds its
-kinks and bigons, which each switch updates, so they are carried along the
-node's switch chain and each copy's Reidemeister pass starts from them.  A
-copy returns its exact crossing tuple, which the engine makes a
-``LinkDiagram``; ``Crossing`` values are built only then, for the crossings
-that moves rebuilt.
+per move.  A working form is built from a ``LinkDiagram``: it copies the
+diagram's head map and builds only the tail map.  The skein engine keeps
+one working form per node: it switches crossings in place and smooths and
+reduces each bad crossing on a copy (``_WorkingDiagram.reduced(x)``),
+until a switch leaves a bigon and a reduced copy ends the chain
+(``reduced()``).  The form also holds its kinks and bigons, which each
+switch updates, so they are carried along the node's switch chain and each
+copy's Reidemeister pass starts from them.  A copy returns its exact
+crossing tuple, which the engine makes a ``LinkDiagram``; ``Crossing``
+values are built only then, for the crossings that moves rebuilt.
 
 ``LinkDiagram(...)`` validates its input.  A diagram that the core derives
 from a valid one (a smoothing, a switch, a mirror, a ``simplify`` result,
@@ -100,7 +101,7 @@ class _WorkingDiagram:
     its position.  ``head`` and ``tail`` map each arc to the (crossing,
     role) port where it ends and where it starts.  The one move is
     ``splice``, which relabels only the crossings that carry a merged arc;
-    ``smoothed`` and ``reduce`` are made of it.  Three rules keep the
+    ``smooth`` and ``reduce`` are made of it.  Three rules keep the
     results equal to a rebuild per move, and so keep the arc labels that
     fix the skein basepoints:
 
@@ -113,19 +114,18 @@ class _WorkingDiagram:
     ``kinks`` and ``bigons`` hold the crossings that are a kink or a bigon.
     A form built from a reduced diagram starts with both empty and
     correct, and ``switch`` reclassifies the crossings it can change, so a
-    skein node carries both sets along its switch chain and each smoothed
-    or reduced copy starts from them.
+    skein node carries both sets along its switch chain and each
+    ``reduced`` copy starts from them.
     """
 
     __slots__ = ("cs", "head", "tail", "kinks", "bigons")
 
-    def __init__(self, crossings):
-        self.cs = list(crossings)
-        head = self.head = {}
+    def __init__(self, d: "LinkDiagram"):
+        # a copy of d's head map: switches and splices must not reach d
+        self.cs = list(d.crossings)
+        self.head = d._head.copy()
         tail = self.tail = {}
-        for ci, (over_in, over_out, under_in, under_out, _) in enumerate(self.cs):
-            head[over_in] = (ci, OVER)
-            head[under_in] = (ci, UNDER)
+        for ci, (_, over_out, _, under_out, _) in enumerate(self.cs):
             tail[over_out] = (ci, OVER)
             tail[under_out] = (ci, UNDER)
         self.kinks = set()
@@ -138,7 +138,8 @@ class _WorkingDiagram:
         keeps the other; arcs with both ports on ``dead`` just disappear.
         Each merged class takes its smallest arc id, and only the crossings
         that carry one of its arcs are relabeled.  A class left with no
-        port closes into a loop.  Returns (loops, touched crossings).
+        port closes into a loop.  Returns (loops, the crossings it deleted
+        or relabeled).
 
         The two pairs of an R2 move share no arc: at a coherent bigon
         (ci, dj) a component would run ci, dj, ci, dj, one crossing between
@@ -151,7 +152,7 @@ class _WorkingDiagram:
             cs[ci] = None
             del head[over_in], head[under_in], tail[over_out], tail[under_out]
         loops = 0
-        touched = []
+        touched = list(dead)
         for members in pairs:
             end = start = None
             heads = tails = 0
@@ -189,7 +190,7 @@ class _WorkingDiagram:
         return self.cs[x][4]
 
     def smooth(self, x: int) -> tuple:
-        """The oriented smoothing of crossing x; returns (loops, touched)."""
+        """The oriented smoothing of crossing x; returns ``splice``'s (loops, touched)."""
         over_in, over_out, under_in, under_out, _ = self.cs[x]
         return self.splice((x,), ((over_in, under_out), (under_in, over_out)))
 
@@ -211,8 +212,8 @@ class _WorkingDiagram:
         self.classify((x, tail[under_in][0], tail[over_in][0]))
         return bool(self.bigons)
 
-    def smoothed(self, x: int) -> tuple:
-        """Smooth crossing x and reduce, on a copy: (crossings, removed loops).
+    def reduced(self, x=None) -> tuple:
+        """Smooth crossing x, if given, and reduce, on a copy: (crossings, removed loops).
 
         The crossings are the result's exact tuple, ready for a table
         lookup or ``LinkDiagram._trusted``.  Precondition: ``kinks`` and
@@ -222,26 +223,15 @@ class _WorkingDiagram:
         those crossings, and makes the same moves as after a scan of the
         whole diagram.  This form is left as it was.
         """
-        w = self._copy()
-        loops, touched = w.smooth(x)
-        loops += w.reduce((x, *touched))
-        return w.crossings(), loops
-
-    def reduced(self) -> tuple:
-        """Reduce a copy: (crossings, removed loops), as ``smoothed`` without
-        the smoothing, and with its precondition."""
-        w = self._copy()
-        loops = w.reduce(())
-        return w.crossings(), loops
-
-    def _copy(self) -> "_WorkingDiagram":
         w = _WorkingDiagram.__new__(_WorkingDiagram)
         w.cs = self.cs[:]
         w.head = self.head.copy()
         w.tail = self.tail.copy()
         w.kinks = self.kinks.copy()
         w.bigons = self.bigons.copy()
-        return w
+        loops, todo = (0, ()) if x is None else w.smooth(x)
+        loops += w.reduce(todo)
+        return w.crossings(), loops
 
     def classify(self, indices) -> None:
         """Bring ``kinks`` and ``bigons`` up to date at the given crossings."""
@@ -302,9 +292,8 @@ class _WorkingDiagram:
                     pairs = ((over_in, d_over_out), (d_under_in, under_out))
             else:
                 return loops
-            closed, touched = self.splice(dead, pairs)
+            closed, todo = self.splice(dead, pairs)
             loops += closed
-            todo = (*dead, *touched)
 
     def crossings(self) -> tuple:
         # a deleted crossing is None, a live one a nonempty tuple
@@ -431,45 +420,52 @@ class LinkDiagram:
         """Orbits of the step from an arc to the arc leaving its head
         crossing by ``over_slot`` if it arrived over, else ``under_slot``:
         (1, 3) follows the strands, (3, 1) the Seifert circles.  Each orbit
-        starts at its smallest arc, and they come in order of that arc."""
+        starts at its smallest arc, and they come in order of that arc.
+        Returns (orbits, arc -> index of its orbit)."""
         head = self._head
         crossings = self.crossings
-        seen = set()
+        index = {}
         orbits = []
         for a in sorted(head):
-            if a not in seen:
+            if a not in index:
+                k = len(orbits)
                 orbit = []
                 x = a
-                while x not in seen:
-                    seen.add(x)
+                while x not in index:
+                    index[x] = k
                     orbit.append(x)
                     ci, role = head[x]
                     x = crossings[ci][over_slot if role == OVER else under_slot]
                 orbits.append(tuple(orbit))
-        return tuple(orbits)
+        return tuple(orbits), index
 
     def _components(self) -> tuple:
-        """Arc components (free loops excluded), cached; ``_orbits`` order."""
+        """Arc components (free loops excluded) in ``_orbits`` order, and the
+        arc -> component index map; cached."""
         if self._comps is None:
             self._comps = self._orbits(1, 3)
         return self._comps
 
     def component_count(self) -> int:
-        return len(self._components()) + self.free_loops
+        return len(self._components()[0]) + self.free_loops
 
     def seifert_circle_count(self) -> int:
-        return len(self._orbits(3, 1)) + self.free_loops
+        return len(self._orbits(3, 1)[0]) + self.free_loops
+
+    def morton_bound(self) -> int:
+        """Morton's bound c - s + 1 on the z-degree of the HOMFLYPT polynomial."""
+        return len(self.crossings) - self.seifert_circle_count() + 1
 
     def stats(self) -> DiagramStats:
-        """Counts of the diagram, its Morton bound c - s + 1, and the genus of
-        its Seifert surface, which has one part per connected part of the
-        diagram (each free loop one): with k parts, (2k - mu - s + c) / 2."""
+        """Counts of the diagram, its Morton bound, and the genus of its Seifert
+        surface, which has one part per connected part of the diagram (each
+        free loop one): with k parts, (2k - mu - s + c) / 2 = (2k - mu + bound - 1) / 2."""
         c = len(self.crossings)
-        s = self.seifert_circle_count()
+        bound = self.morton_bound()
         mu = self.component_count()
         k = len(self.split_pieces()) + self.free_loops
-        genus = Fraction(2 * k - mu - s + c, 2)
-        return DiagramStats(c, s, self.writhe(), mu, c - s + 1, genus)
+        genus = Fraction(2 * k - mu + bound - 1, 2)
+        return DiagramStats(c, c + 1 - bound, self.writhe(), mu, bound, genus)
 
     def linking_number(self, i: int, j: int) -> Fraction:
         """Half the signed count of crossings between arc components i and j.
@@ -477,15 +473,11 @@ class LinkDiagram:
         Arc components are indexed in order of their minimal arc id.  Free
         loops never cross anything.
         """
-        comps = self._components()
+        comps, owner = self._components()
         if i == j:
             raise DiagramError("self-linking is not defined")
         if not (0 <= i < len(comps) and 0 <= j < len(comps)):
             raise DiagramError(f"component index out of range: {i}, {j}")
-        owner = {}
-        for idx, comp in enumerate(comps):
-            for a in comp:
-                owner[a] = idx
         total = 0
         for c in self.crossings:
             pair = {owner[c.over_in], owner[c.under_in]}
@@ -507,7 +499,7 @@ class LinkDiagram:
         """Remove crossing x by the oriented smoothing, reconnecting arcs."""
         if not (0 <= x < len(self.crossings)):
             raise DiagramError(f"no crossing {x}")
-        w = _WorkingDiagram(self.crossings)
+        w = _WorkingDiagram(self)
         loops, _ = w.smooth(x)
         return LinkDiagram._trusted(w.crossings(), self.free_loops + loops)
 
@@ -525,7 +517,7 @@ class LinkDiagram:
         Each move is the first R1 kink by crossing position, otherwise the
         first R2 bigon; the move order fixes the arc labels of the result.
         """
-        w = _WorkingDiagram(self.crossings)
+        w = _WorkingDiagram(self)
         removed = self.free_loops + w.reduce(range(len(w.cs)))
         if not removed and None not in w.cs:
             return self, 0
@@ -542,10 +534,9 @@ class LinkDiagram:
         the pieces come in order of their first crossing: the skein
         engine's child order.
         """
-        comps = self._components()
+        comps, owner = self._components()
         if len(comps) > 1:
             crossings, head = self.crossings, self._head
-            owner = {a: k for k, comp in enumerate(comps) for a in comp}
             piece_of = {}  # component -> index of its piece
             pieces = []
             for c in crossings:
@@ -581,7 +572,7 @@ class LinkDiagram:
         head = self._head
         visited = set()
         bad = []
-        for comp in self._components():
+        for comp in self._components()[0]:
             for arc in comp:
                 ci, role = head[arc]
                 if ci not in visited:
@@ -620,13 +611,12 @@ class LinkDiagram:
             raise DiagramError("diagram too large to encode")
         if not crossings:
             raise DiagramError("a diagram with no crossings has no canonical code")
-        comps = self._components()
+        comps, owner = self._components()  # owner: arc -> component
         step = {}  # arc -> (crossing, role and sign bits, next arc) at its head
         for ci, c in enumerate(crossings):
             positive = c[4] > 0
             step[c[0]] = (ci, positive, c[1])
             step[c[2]] = (ci, 2 | positive, c[3])
-        owner = {arc: k for k, comp in enumerate(comps) for arc in comp}  # arc -> component
         starts = [c[0] for c in crossings if c[4] < 0] or [c[0] for c in crossings]
         seconds = []  # each start's second token, its label taken relative to the first
         for start in starts:

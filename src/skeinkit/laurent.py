@@ -16,8 +16,10 @@ Canonical text form of ``LaurentPoly2``: terms sorted by (e_z, e_v)
 ascending, each rendered ``c*v^a*z^b``, joined by `` + ``; the zero
 polynomial prints as ``0``.  This is the cache and CLI exchange format.
 Its one grammar, ``TEXT_PATTERN``, also admits terms in any order, and
-``parse_text`` refuses any other text.  Exponents stay below 10**9, the
-grammar's 9 digits, so every polynomial formats into text that parses.
+``parse_text`` refuses any other text.  The grammar's exponents have at
+most 9 digits: the constructor refuses larger ones, and ``format_text``
+raises ``OverflowError`` rather than write one (a product can reach
+them), so every text it writes parses.
 
 The distinguished constant ``DELTA`` is (v^-1 - v) * z^-1, the value of a
 two-component unlink; disjoint unions multiply by it.
@@ -245,12 +247,13 @@ class LaurentPoly2(_SparseLaurent):
     # -- text and JSON forms ------------------------------------------
 
     def format_text(self) -> str:
-        if not self._terms:
+        """The canonical text; an exponent it cannot hold raises ``OverflowError``."""
+        terms = self._terms
+        if not self._in_range(terms):
+            raise OverflowError("exponent out of range: |e| >= 10**9")
+        if not terms:
             return "0"
-        parts = []
-        for (ev, ez) in sorted(self._terms, key=lambda k: (k[1], k[0])):
-            parts.append(f"{self._terms[(ev, ez)]}*v^{ev}*z^{ez}")
-        return " + ".join(parts)
+        return " + ".join(f"{terms[k]}*v^{k[0]}*z^{k[1]}" for k in sorted(terms, key=lambda k: (k[1], k[0])))
 
     @staticmethod
     def parse_text(text: str) -> "LaurentPoly2":

@@ -25,18 +25,18 @@ Recursion therefore descends strictly in crossing count, which makes the
 memo DAG acyclic and termination unconditional.
 
 Each node builds one working form of its piece (``diagram._WorkingDiagram``,
-the arc -> port maps built once).  The chain switches its crossings in that
-form in place, one crossing and four ports per switch, and each bad
-crossing is smoothed and simplified on a copy.  The piece is already
-reduced, a switch keeps every kink a kink, and a switch changes bigon
-status only at the switched crossing and at the crossings whose strands run
-into it.  So the form carries its kink and bigon sets along the chain, each
-switch reclassifies just those crossings and tells whether a bigon is left,
-and the copy's Reidemeister pass starts from the sets and from the
-crossings the smoothing touched, not from a scan of every crossing.  It
-makes the same moves in the same order: the arc labels, the children and
-the node counts are those of a full scan.  The reduced end of a chain is
-a copy too, reduced from the sets alone.
+which copies the piece's head map).  The chain switches its crossings in
+that form in place, one crossing and four ports per switch, and each bad
+crossing is smoothed and simplified on a copy (``reduced(x)``).  The piece
+is already reduced, a switch keeps every kink a kink, and a switch changes
+bigon status only at the switched crossing and at the crossings whose
+strands run into it.  So the form carries its kink and bigon sets along the
+chain, each switch reclassifies just those crossings and tells whether a
+bigon is left, and the copy's Reidemeister pass starts from the sets and
+from the crossings the smoothing touched, not from a scan of every
+crossing.  It makes the same moves in the same order: the arc labels, the
+children and the node counts are those of a full scan.  The reduced end of
+a chain is a copy too, reduced from the sets alone (``reduced()``).
 
 Every piece is a ``LinkDiagram``: each chain result becomes one where it
 is made, and the simplified root enters ``_decompose`` as the diagram that
@@ -254,11 +254,11 @@ def _chain(piece: LinkDiagram):
     else the descending diagram, an unlink of mu components: no crossings,
     mu loops.  The chain runs on one working form (module docstring)."""
     bad = piece.non_descending_crossings()
-    w = _WorkingDiagram(piece.crossings)
+    w = _WorkingDiagram(piece)
     k = 0  # the prefix is v^k (see _monomial)
     for x in bad:
         sign = w.sign(x)
-        yield (_monomial(sign, k + sign, 1), *w.smoothed(x))
+        yield (_monomial(sign, k + sign, 1), *w.reduced(x))
         k += 2 * sign
         if w.switch(x) and x != bad[-1]:
             yield (_monomial(1, k, 0), *w.reduced())
@@ -298,7 +298,7 @@ def _self_check(d: LinkDiagram, p: LaurentPoly2) -> None:
     It is the only such guard: reports do not repeat it.  A violation means
     an engine bug or a wrong disk-cache entry.
     """
-    bound = d.crossing_count() - d.seifert_circle_count() + 1
+    bound = d.morton_bound()
     components = d.component_count()
     if p.is_zero:
         raise SelfCheckError("engine produced the zero polynomial")

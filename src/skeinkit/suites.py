@@ -104,7 +104,7 @@ def _record(report: InvariantReport, d: LinkDiagram, p: LaurentPoly2) -> None:
     """Put the value, its z-degree and the diagram's Morton bound on the report."""
     report.polynomial = p
     report.max_z = p.max_z_degree()
-    report.morton = d.stats().morton_bound
+    report.morton = d.morton_bound()
 
 
 def suite_main(cfg: SuiteConfig) -> list:
@@ -118,7 +118,7 @@ def suite_main(cfg: SuiteConfig) -> list:
                 p = cfg.engine.homfly(d)
                 _record(rep, d, p)
                 rep.check(f"max-z-degree[r={r}]", 6 * r - 1, p.max_z_degree())
-                rep.check(f"degree-bound-sharp[r={r}]", d.stats().morton_bound, p.max_z_degree())
+                rep.check(f"degree-bound-sharp[r={r}]", rep.morton, rep.max_z)
                 mirror_pairs.setdefault(r, {})[top_sign] = p
     for r, pair in sorted(mirror_pairs.items()):
         if len(pair) == 2:
@@ -288,10 +288,15 @@ def _exhaustive_words():
     for n in (1, 2, 3):
         gens = [g for k in range(1, n) for g in (k, -k)]
         for length in range(0, 7):
-            if not gens and length > 0:
-                continue
             for letters in itertools.product(gens, repeat=length):
                 yield BraidWord(n, letters)
+
+
+def _random_word(rng: random.Random, max_length: int) -> BraidWord:
+    """A braid word on 2 to 4 strands of 1 to ``max_length`` letters, drawn in that order."""
+    n = rng.randint(2, 4)
+    letters = [rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(rng.randint(1, max_length))]
+    return BraidWord(n, letters)
 
 
 def suite_structural(cfg: SuiteConfig) -> list:
@@ -304,9 +309,7 @@ def suite_structural(cfg: SuiteConfig) -> list:
         rng = random.Random(20260810)
         total = failures = 0
         for _ in range(100):
-            n = rng.randint(2, 4)
-            letters = [rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(rng.randint(1, 10))]
-            d = from_braid_closure(BraidWord(n, letters))
+            d = from_braid_closure(_random_word(rng, 10))
             p, pm = cfg.engine.homfly(d), cfg.engine.homfly(d.mirror())
             total += 1
             if pm != p.mirror_image():
@@ -329,11 +332,9 @@ def suite_structural(cfg: SuiteConfig) -> list:
         rng = random.Random(1729)
         total = failures = 0
         for _ in range(50):
-            n = rng.randint(2, 4)
-            letters = [rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(rng.randint(1, 8))]
-            b = BraidWord(n, letters)
+            b = _random_word(rng, 8)
             moved = [
-                b.conjugate_by(rng.choice([1, -1]) * rng.randint(1, n - 1)),
+                b.conjugate_by(rng.choice([1, -1]) * rng.randint(1, b.strands - 1)),
                 b.stabilize(True),
                 b.stabilize(False),
             ]

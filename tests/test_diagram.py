@@ -129,6 +129,19 @@ def test_simplify_cascade():
     assert core.component_count() == 2
 
 
+def test_morton_bound_is_c_minus_s_plus_1():
+    trefoil, figure_eight = closure([1, 1, 1]), closure([1, -2, 1, -2])
+    samples = [closure([1, 1]), closure([-1, 2, -1, 2, -1]), from_braid_closure(quasitoric_beta(2, 1))]
+    samples += [blackboard_double(d) for d in (trefoil, figure_eight, samples[-1])]
+    for knot in (trefoil, figure_eight):
+        w = knot.writhe()
+        samples += [canonical_double(knot, m) for m in (w - 1, w, w + 2)]
+        samples += [canonical_whitehead(knot, m, sign) for m in (w - 1, w, w + 2) for sign in (1, -1)]
+    for d in samples:
+        bound = d.crossing_count() - d.seifert_circle_count() + 1
+        assert d.morton_bound() == d.stats().morton_bound == bound
+
+
 def test_mirror_stats():
     d = from_braid_closure(quasitoric_beta(2, 1))
     m = d.mirror()
@@ -413,7 +426,7 @@ def oracle_simplify(d):
 
 def oracle_code(d):
     """The unpruned search: every walk runs to its end."""
-    comps = list(d._components())
+    comps = list(d._components()[0])
     if not comps:
         return struct.pack(">III", d.free_loops, 0, 0)
 
@@ -516,7 +529,7 @@ def test_simplify_matches_sequential_oracle(d):
 def assert_form_is(w, cs):
     """The working form holds exactly ``cs``, with the port maps of a rebuild
     and the kinks and bigons of a full classification."""
-    fresh = _WorkingDiagram(cs)
+    fresh = _WorkingDiagram(LinkDiagram(cs))
     fresh.classify(range(len(cs)))
     assert (w.cs, w.head, w.tail) == (fresh.cs, fresh.head, fresh.tail)
     assert (w.kinks, w.bigons) == (fresh.kinks, fresh.bigons)
@@ -541,7 +554,7 @@ def test_smoothing_matches_sequential_oracle(d, data):
     n = len(core.crossings)
     if not n:
         return
-    w = _WorkingDiagram(core.crossings)
+    w = _WorkingDiagram(core)
     flips = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
     cs = list(core.crossings)
     for step in range(len(flips) + 1):
@@ -549,7 +562,7 @@ def test_smoothing_matches_sequential_oracle(d, data):
             smoothed = LinkDiagram(cs).smooth_crossing(x)
             want = oracle_smooth(LinkDiagram(cs), x)
             assert (smoothed.crossings, smoothed.free_loops) == (want.crossings, want.free_loops)
-            got, removed = w.smoothed(x)
+            got, removed = w.reduced(x)
             want_core, want_removed = oracle_simplify(want)
             assert (got, removed) == (want_core.crossings, want_removed)
             assert_form_is(w, cs)
@@ -584,12 +597,12 @@ def test_moves_commute_with_order_preserving_relabelling(d, data):
     core_moved, removed_moved = LinkDiagram(moved(d.crossings), d.free_loops).simplify()
     assert (core_moved.crossings, removed_moved) == (moved(core.crossings), removed)
     # along a skein node's switch chain, one working form per labelling
-    w = _WorkingDiagram(core.crossings)
-    w_moved = _WorkingDiagram(core_moved.crossings)
+    w = _WorkingDiagram(core)
+    w_moved = _WorkingDiagram(core_moved)
     for x in core.non_descending_crossings():
         for y in range(len(core.crossings)):
-            got, loops = w_moved.smoothed(y)
-            want, want_loops = w.smoothed(y)
+            got, loops = w_moved.reduced(y)
+            want, want_loops = w.reduced(y)
             assert (got, loops) == (moved(want), want_loops)
         w.switch(x)
         w_moved.switch(x)
@@ -610,9 +623,9 @@ def test_split_pieces_match_union_find_oracle(d):
     assert_split_matches_oracle(d)
     # every smoothing result of a skein node's switch chain
     core, _ = d.simplify()
-    w = _WorkingDiagram(core.crossings)
+    w = _WorkingDiagram(core)
     for x in core.non_descending_crossings():
-        assert_split_matches_oracle(LinkDiagram(w.smoothed(x)[0]))
+        assert_split_matches_oracle(LinkDiagram(w.reduced(x)[0]))
         w.switch(x)
 
 
@@ -670,9 +683,9 @@ def test_multi_component_codes_match_oracle():
     for d in samples:
         assert d.component_count() >= 2
         # smooth along a switch chain on one working form, as a skein node does
-        w = _WorkingDiagram(d.simplify()[0].crossings)
+        w = _WorkingDiagram(d.simplify()[0])
         for x in range(0, len(w.cs), 3):
-            core = LinkDiagram(w.smoothed(x)[0])
+            core = LinkDiagram(w.reduced(x)[0])
             for piece in core.split_pieces():
                 assert piece.canonical_code() == oracle_code(piece)
             w.switch(x)

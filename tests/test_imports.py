@@ -3,8 +3,9 @@ module-level function and private method of the package has a caller in the
 package, every public one is read outside the tests, the three engines
 import none of each other, the package has no ``assert`` statement, only
 ``suites._report`` catches a budget error, every error class is raised,
-directly or through a subclass, and only ``laurent.py`` spells the
-polynomial text grammar.  The public functions that only the tests or only
+directly or through a subclass, only ``laurent.py`` spells the
+polynomial text grammar, and every module parses as the oldest Python that
+``pyproject.toml`` admits.  The public functions that only the tests or only
 the benchmark's hooks read are listed, each with a reason."""
 
 import ast
@@ -454,3 +455,41 @@ D = r"\*z\^"
 def test_only_laurent_spells_the_text_grammar():
     found = grammar_constants({**parse_folder("src"), **parse_folder("bench")})
     assert found and {line.rpartition(":")[0] for line in found} == {"src/skeinkit/laurent.py"}, found
+
+
+# ``pyproject.toml`` requires Python >= 3.10, and tier-1 CI runs 3.10 and
+# 3.11; this catches newer syntax (``except*``, say) on a newer interpreter.
+
+OLDEST_PYTHON = (3, 10)
+
+
+def newer_syntax(sources: dict) -> list:
+    """``path: error`` of each source in ``sources`` (path -> text) that does
+    not parse as ``OLDEST_PYTHON``."""
+    found = []
+    for path, text in sources.items():
+        try:
+            ast.parse(text, path, feature_version=OLDEST_PYTHON)
+        except SyntaxError as exc:
+            found.append(f"{path}: {exc.msg}")
+    return found
+
+
+def test_newer_syntax_is_caught():
+    sources = {
+        "a": "try:\n    pass\nexcept* ValueError:\n    pass\n",
+        "b": "match x:\n    case 1:\n        pass\n",
+    }
+    assert [line.partition(":")[0] for line in newer_syntax(sources)] == ["a"]
+
+
+def test_sources_parse_as_the_oldest_supported_python():
+    requires = (ROOT / "pyproject.toml").read_text()
+    assert f'requires-python = ">={OLDEST_PYTHON[0]}.{OLDEST_PYTHON[1]}"' in requires
+    sources = {
+        str(path.relative_to(ROOT)): path.read_text()
+        for folder in ("src", "tests")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    }
+    found = newer_syntax(sources)
+    assert not found, "syntax newer than Python 3.10:\n" + "\n".join(found)

@@ -285,14 +285,14 @@ def test_memo_dag_of_doubled_borromean_rings_is_pinned(monkeypatch):
     # disk cache is keyed by.  The smoothings and chain-end reductions pin
     # where the chains end: chains run to their descending ends smooth
     # 3,077 and 3,220 times and reduce never.  The code searches pin what
-    # the crossings -> code table saves.
+    # the crossings -> code table saves.  A ``reduced`` call with a crossing
+    # is a smoothing, one without is a chain end.
     calls = []
-    for cls, name in ((_WorkingDiagram, "smoothed"), (_WorkingDiagram, "reduced"),
-                      (LinkDiagram, "canonical_code")):
+    for cls, name in ((_WorkingDiagram, "reduced"), (LinkDiagram, "canonical_code")):
         method = getattr(cls, name)
 
         def counting(self, *args, name=name, method=method):
-            calls.append(name)
+            calls.append("smoothed" if name == "reduced" and args else name)
             return method(self, *args)
 
         monkeypatch.setattr(cls, name, counting)
@@ -346,6 +346,33 @@ def test_trusted_diagrams_equal_validated_ones(monkeypatch):
         assert d.crossings == ref.crossings
         assert d._head == ref._head
         assert d._components() == ref._components()
+
+
+def test_working_forms_leave_the_diagram_head_map_unchanged(monkeypatch):
+    # homfly (whose root piece is the reduced input itself), simplify and
+    # smooth_crossing move working forms built from a diagram's head map;
+    # each form copies the map, so the diagram's own map stays as it was.
+    built = []
+    init = _WorkingDiagram.__init__
+
+    def recording(self, d):
+        built.append((d, dict(d._head)))
+        init(self, d)
+
+    monkeypatch.setattr(_WorkingDiagram, "__init__", recording)
+    reduced = blackboard_double(quasitoric_closure(1, 1))
+    kinked = closure([1, 1, 2, -1, -1])
+    assert reduced.simplify()[0] is reduced and kinked.simplify()[0] != kinked
+    for d in (reduced, kinked):
+        head = dict(d._head)
+        SkeinEngine().homfly(d)
+        d.simplify()
+        for x in range(d.crossing_count()):
+            d.smooth_crossing(x)
+        assert d._head == head
+    assert any(d is reduced for d, _ in built)
+    for d, head in built:
+        assert d._head == head
 
 
 def test_code_table_stays_under_its_cap(monkeypatch):
@@ -532,6 +559,20 @@ def test_saved_lines_are_canonical_lines(borromean_cache, tmp_path):
     lines += (tmp_path / "more.cache").read_text().splitlines()
     matches = [_LINE.fullmatch(line) for line in lines]
     assert all(m and not len(m[1]) % 2 for m in matches)
+
+
+def test_an_exponent_beyond_the_grammar_is_never_saved(tmp_path):
+    # Products are not range-checked, so a memo value can hold an exponent
+    # of 10 digits; saving it must fail before a byte is written.
+    path = tmp_path / "poly.cache"
+    path.write_text("01\t1*v^0*z^0\n")
+    before = path.read_bytes()
+    e = SkeinEngine()
+    e.memo[b"\x02"] = LaurentPoly2.monomial(1, v=10**9 - 1) ** 2
+    with pytest.raises(OverflowError):
+        e.save_cache(str(path))
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["poly.cache"]
 
 
 def test_save_cache_needs_a_path():
