@@ -31,10 +31,12 @@ class BraidWord:
 
     def __post_init__(self):
         object.__setattr__(self, "letters", tuple(self.letters))
-        if self.strands < 1:
-            raise ValueError("a braid needs at least one strand")
+        # type(.) is int: a bool or a float would pass a comparison, but its
+        # text form is not one that parse_text reads back
+        if type(self.strands) is not int or self.strands < 1:
+            raise ValueError(f"a braid needs a whole number of strands >= 1, got {self.strands!r}")
         for k in self.letters:
-            if not isinstance(k, int) or k == 0 or abs(k) > self.strands - 1:
+            if type(k) is not int or k == 0 or abs(k) > self.strands - 1:
                 raise ValueError(
                     f"letter {k!r} is not a valid generator on {self.strands} strands"
                 )

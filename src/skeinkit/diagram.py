@@ -26,14 +26,17 @@ plain 5-tuples with tombstones, and arc -> port maps) merges arcs in place,
 so a chain of Reidemeister moves costs what the moves touch, not a rebuild
 per move.  A working form is built from a ``LinkDiagram``: it copies the
 diagram's head map and builds only the tail map.  The skein engine keeps
-one working form per node: it switches crossings in place and smooths and
-reduces each bad crossing on a copy (``_WorkingDiagram.reduced(x)``),
-until a switch leaves a bigon and a reduced copy ends the chain
-(``reduced()``).  The form also holds its kinks and bigons, which each
-switch updates, so they are carried along the node's switch chain and each
-copy's Reidemeister pass starts from them.  A copy returns its exact
-crossing tuple, which the engine makes a ``LinkDiagram``; ``Crossing``
-values are built only then, for the crossings that moves rebuilt.
+one working form per node.  It first switches each bad crossing and back,
+to find one whose switch leaves a bigon, and puts it at the head of the
+chain.  Then it switches crossings in place and smooths and reduces each
+bad crossing on a copy (``_WorkingDiagram.reduced(x)``), until a switch
+leaves a bigon and a reduced copy ends the chain (``reduced()``).  The form
+also holds its kinks and bigons, which each switch updates, so they are
+carried along the node's switch chain and each copy's Reidemeister pass
+starts from them.  A switch made twice restores the crossing, its ports
+and both sets.  A copy returns its exact crossing tuple, which the engine
+makes a ``LinkDiagram``; ``Crossing`` values are built only then, for the
+crossings that moves rebuilt.
 
 ``LinkDiagram(...)`` validates its input.  A diagram that the core derives
 from a valid one (a smoothing, a switch, a mirror, a ``simplify`` result,
@@ -318,11 +321,17 @@ class LinkDiagram:
         crossings = tuple(
             c if isinstance(c, Crossing) else Crossing(*c) for c in crossings
         )
+        # type(.) is int: True == 1 and 1.0 == 1, but neither is an arc id or a sign
+        if type(free_loops) is not int:
+            raise DiagramError(f"free_loops {free_loops!r} is not an int")
         if free_loops < 0:
             raise DiagramError("free_loops must be nonnegative")
         head = {}
         tail = set()
-        for ci, (over_in, over_out, under_in, under_out, sign) in enumerate(crossings):
+        for ci, c in enumerate(crossings):
+            if any(type(field) is not int for field in c):
+                raise DiagramError(f"crossing {ci} has a field that is not an int: {tuple(c)!r}")
+            over_in, over_out, under_in, under_out, sign = c
             if sign not in (1, -1):
                 raise DiagramError(f"crossing {ci} has sign {sign!r}")
             if over_in in head:

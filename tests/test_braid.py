@@ -111,6 +111,21 @@ def test_letter_validation():
         BraidWord(0, ())
 
 
+def test_values_that_are_not_ints_are_refused():
+    # True == 1 and 2.0 == 2, so only a type test refuses them
+    with pytest.raises(ValueError, match="letter True"):
+        BraidWord(2, (True, True, True))
+    with pytest.raises(ValueError, match="strands"):
+        BraidWord(2.0, (1,))
+    with pytest.raises(ValueError, match="strands"):
+        BraidWord(True, ())
+    with pytest.raises(ValueError, match="letter 1.0"):
+        BraidWord(2, (1.0,))
+    # every word that is accepted reads back from its text form
+    for b in (BraidWord(1), BraidWord(2, (1, 1, 1)), BraidWord(4, (3, -2, 1, -3))):
+        assert BraidWord.parse_text(b.format_text()) == b
+
+
 def test_text_round_trip():
     b = BraidWord(3, (2, -1, 2, -1, 2, -1))
     assert b.format_text() == "3: 2 -1 2 -1 2 -1"

@@ -451,7 +451,7 @@ def test_budget_skip_ends_each_computing_report(capsys, suite, count):
 
 
 def test_props_budget_skip_keeps_the_checks_before_it(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "props", "--nodes", "20", "--out", "json")
+    code, out, _ = run(capsys, "verify", "--suite", "props", "--nodes", "23", "--out", "json")
     assert code == 0
     rep = json.loads(out)[0]
     assert rep["input"] == "degree-shift-identities(trefoil, m=0..5)"

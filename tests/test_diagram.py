@@ -288,6 +288,19 @@ def test_validation_rejects_bad_arcs():
         LinkDiagram([Crossing(1, 2, 3, 4, 1), Crossing(5, 2, 6, 7, 1)])
 
 
+def test_validation_rejects_fields_that_are_not_ints():
+    # True == 1 and 1.0 == 1, so only a type test refuses them
+    with pytest.raises(DiagramError, match=r"crossing 0 has a field that is not an int: \(1, 0, 0, 1, True\)"):
+        LinkDiagram([(1, 0, 0, 1, True)])
+    with pytest.raises(DiagramError, match="crossing 0 has a field that is not an int"):
+        LinkDiagram([Crossing(1.0, 0, 0, 1, 1)])
+    with pytest.raises(DiagramError, match="free_loops True is not an int"):
+        LinkDiagram((), True)
+    d = LinkDiagram([(1, 0, 0, 1, 1)])
+    assert type(d.crossings[0].sign) is int
+    assert LinkDiagram.from_pd_text(d.to_pd_text()) == d
+
+
 def test_split_pieces():
     hopf = closure([1, 1])
     far = LinkDiagram(

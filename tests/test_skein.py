@@ -9,7 +9,7 @@ from skeinkit.diagram import Crossing, LinkDiagram, _WorkingDiagram, from_braid_
 from skeinkit.errors import BudgetExceededError, CacheCorruptionError, DiagramError
 from skeinkit.hecke import homfly_closed_braid
 from skeinkit.laurent import DELTA, ONE, ZERO, LaurentPoly2, delta_power
-from skeinkit.satellite import blackboard_double, canonical_whitehead, quasitoric_closure
+from skeinkit.satellite import blackboard_double, build_K_A, canonical_whitehead, quasitoric_closure
 from skeinkit.skein import _LINE, SkeinEngine
 
 HOPF_PLUS = LaurentPoly2({(1, 1): 1, (1, -1): 1, (3, -1): -1})
@@ -283,8 +283,9 @@ def test_memo_dag_of_doubled_borromean_rings_is_pinned(monkeypatch):
     # and the canonical code fix it.  The memo hits count the child edges
     # that point at a finished node, and the key digest pins the codes a
     # disk cache is keyed by.  The smoothings and chain-end reductions pin
-    # where the chains end: chains run to their descending ends smooth
-    # 3,077 and 3,220 times and reduce never.  The code searches pin what
+    # which crossing each chain switches first and where it ends: chains
+    # run in traversal order to their descending ends smooth 3,077 and
+    # 3,220 times and reduce never.  The code searches pin what
     # the crossings -> code table saves.  A ``reduced`` call with a crossing
     # is a smoothing, one without is a chain end.
     calls = []
@@ -297,8 +298,8 @@ def test_memo_dag_of_doubled_borromean_rings_is_pinned(monkeypatch):
 
         monkeypatch.setattr(cls, name, counting)
     pins = (
-        (1, 819, 955, 1312, 689, 1434, "d20da2904377cd2b53767d4962c71b70fca61affe0e4cf309093388c512d72e5"),
-        (-1, 853, 1043, 1538, 712, 1536, "67afc685f05cc70920e2a757b0b915636b2f0ceba9b4ba51f6e0458960ddce56"),
+        (1, 565, 561, 842, 473, 927, "8b16460621172a016c2e31c9c5a3cad66d7a144fb43bb676fb080c9c80066369"),
+        (-1, 592, 610, 951, 494, 974, "99c091c0ef5234f174b7cf79d9790ad9b6ec57e396ab1756018fa936534797b1"),
     )
     for top_sign, nodes, hits, smoothed, reduced, searches, digest in pins:
         calls.clear()
@@ -322,8 +323,51 @@ def test_memo_dag_of_mirrored_figure_eight_whitehead_doubles_is_pinned():
     for m in range(w - 2, w + 3):
         for clasp in (1, -1):
             e.homfly(canonical_whitehead(companion, m, clasp))
-    assert (e.counters()["nodes"], e.counters()["memo_hits"]) == (251, 239)
-    assert memo_key_digest(e) == "4d72a4429957cc039f85a19f6a3da160f6e902b5d5078abcfdd31237b773f247"
+    assert (e.counters()["nodes"], e.counters()["memo_hits"]) == (94, 76)
+    assert memo_key_digest(e) == "ce454cc7d99609a4c0c2283345bb96196196d896e21f285c21929724a8c0b739"
+
+
+def test_memo_dag_of_a_c8_whitehead_double_is_pinned():
+    # The Whitehead double (writhe framing, positive clasp) of the c = 8
+    # knot of K_A = [[2,1,2],[-1,-1,-1]], 34 crossings.  Chains that switch
+    # a bigon-making bad crossing first take 2,327 nodes; chains in plain
+    # traversal order took 9,499.
+    k = build_K_A([[2, 1, 2], [-1, -1, -1]])
+    assert k.crossing_count() == 8
+    e = SkeinEngine()
+    p = e.homfly(canonical_whitehead(k, k.writhe(), 1))
+    assert e.counters()["nodes"] == 2327
+    assert p.max_z_degree() == 16
+
+
+def test_a_chain_with_a_bigon_maker_has_two_terms(monkeypatch):
+    # A node whose piece has a bad crossing that leaves an R2 bigon when
+    # switched yields that crossing's smoothing and the reduced switched
+    # diagram, and nothing else.  The bigon is found apart from the
+    # working form: a piece is reduced and a switch keeps it kink-free, so
+    # the switch leaves a bigon iff ``simplify`` then removes crossings.
+    import skeinkit.skein as skein
+
+    chain = skein._chain
+    seen = []
+
+    def recording(piece):
+        terms = list(chain(piece))
+        seen.append((piece, len(terms)))
+        yield from terms
+
+    monkeypatch.setattr(skein, "_chain", recording)
+    SkeinEngine().homfly(blackboard_double(quasitoric_closure(2, 1)))
+    makers = 0
+    for piece, count in seen:
+        n = piece.crossing_count()
+        bad = piece.non_descending_crossings()
+        if any(piece.switch_crossing(x).simplify()[0].crossing_count() < n for x in bad):
+            makers += 1
+            assert count == 2
+        else:
+            assert 1 <= count <= len(bad) + 1
+    assert makers > 0 and len(seen) == 565
 
 
 def test_trusted_diagrams_equal_validated_ones(monkeypatch):
@@ -391,7 +435,7 @@ def test_code_table_stays_under_its_cap(monkeypatch):
     e = SkeinEngine()
     e._codes = Recording()
     assert e.homfly(d) == want
-    assert e.counters()["nodes"] == 819
+    assert e.counters()["nodes"] == 565
     assert max(sizes) == 8
     assert sizes.count(1) > 1  # the table was cleared
 
@@ -538,7 +582,7 @@ def test_duplicate_lines_load_when_their_values_are_equal(tmp_path):
 
 @pytest.fixture(scope="module")
 def borromean_cache(tmp_path_factory):
-    """A cache of the doubled Borromean rings (819 entries) and its value."""
+    """A cache of the doubled Borromean rings (565 entries) and its value."""
     path = tmp_path_factory.mktemp("cache") / "poly.cache"
     e = SkeinEngine(cache_path=str(path))
     d = blackboard_double(quasitoric_closure(2, 1))
@@ -550,7 +594,7 @@ def borromean_cache(tmp_path_factory):
 def test_saved_lines_are_canonical_lines(borromean_cache, tmp_path):
     path = borromean_cache[0]
     lines = path.read_text().splitlines()
-    assert len(lines) == 819
+    assert len(lines) == 565
     e = SkeinEngine()
     edge = LaurentPoly2({(-(10**9 - 1), 10**9 - 1): -(2**80), (0, 0): 3})
     for i, p in enumerate([ONE, ZERO, DELTA, HOPF_PLUS, edge]):
@@ -606,9 +650,9 @@ def test_a_warm_run_parses_only_the_entries_it_reads(borromean_cache, monkeypatc
 
     monkeypatch.setattr(LaurentPoly2, "parse_text", staticmethod(counting))
     e = SkeinEngine(cache_path=str(path))
-    assert e.counters()["preloaded"] == 819 and calls == []
+    assert e.counters()["preloaded"] == 565 and calls == []
     assert e.homfly(d) == p
     assert e.homfly(d) == p
     read = [v for v in e.memo.values() if not isinstance(v, str)]
     assert e.counters()["nodes"] == 0
-    assert 1 <= len(calls) == len(read) < 819
+    assert 1 <= len(calls) == len(read) < 565
