@@ -101,8 +101,9 @@ class BraidWord:
 
 def toric(p: int, q: int) -> BraidWord:
     """The p-strand braid (sigma_1 ... sigma_{p-1})^q; closure is T(p, q)."""
-    if p < 2 or q < 1:
-        raise ValueError("toric braids need p >= 2 and q >= 1")
+    # type(.) is int, as in BraidWord: True == 1 and 3.0 == 3
+    if type(p) is not int or type(q) is not int or p < 2 or q < 1:
+        raise ValueError(f"toric braids need ints p >= 2 and q >= 1, got {p!r}, {q!r}")
     return BraidWord(p, tuple(range(1, p)) * q)
 
 
@@ -114,9 +115,9 @@ def quasitoric_beta(r: int, top_sign: int = 1) -> BraidWord:
     starting from top_sign on sigma_r.  The sign matrix is constant along
     each row, so this single bit determines the whole word.
     """
-    if r < 1:
-        raise ValueError("quasitoric_beta requires r >= 1")
-    if top_sign not in (1, -1):
-        raise ValueError("top_sign must be +1 or -1")
+    if type(r) is not int or r < 1:
+        raise ValueError(f"quasitoric_beta requires an int r >= 1, got {r!r}")
+    if type(top_sign) is not int or top_sign not in (1, -1):
+        raise ValueError(f"top_sign must be +1 or -1, got {top_sign!r}")
     block = tuple(top_sign * (-1) ** (i - 1) * (r + 1 - i) for i in range(1, r + 1))
     return BraidWord(r + 1, block * 3)

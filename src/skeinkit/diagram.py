@@ -30,25 +30,27 @@ one working form per node.  It first switches each bad crossing and back,
 to find one whose switch leaves a bigon, and puts it at the head of the
 chain.  Then it switches crossings in place and smooths and reduces each
 bad crossing on a copy (``_WorkingDiagram.reduced(x)``), until a switch
-leaves a bigon and a reduced copy ends the chain (``reduced()``).  The form
-also holds its kinks and bigons, which each switch updates, so they are
-carried along the node's switch chain and each copy's Reidemeister pass
-starts from them.  A switch made twice restores the crossing, its ports
-and both sets.  A copy returns its exact crossing tuple, which the engine
-makes a ``LinkDiagram``; ``Crossing`` values are built only then, for the
+leaves a bigon and a reduced copy ends the chain (``reduced()``), or until
+the first component lies on top of the rest and a reduced copy without
+its crossings ends it (``lifted(arcs)``).  The form also holds its kinks
+and bigons, which each switch updates, so they are carried along the
+node's switch chain and each copy's Reidemeister pass starts from them.
+A switch made twice restores the crossing, its ports and both sets.  A
+copy returns its exact crossing tuple, which the engine makes a
+``LinkDiagram``; ``Crossing`` values are built only then, for the
 crossings that moves rebuilt.
 
 ``LinkDiagram(...)`` validates its input.  A diagram that the core derives
-from a valid one (a smoothing, a switch, a mirror, a ``simplify`` result,
-a ``split_pieces`` piece) or builds planar by construction (a braid
+from a valid one (a smoothing, a switch, a lift, a mirror, a ``simplify``
+result, a ``split_pieces`` piece) or builds planar by construction (a braid
 closure, the satellite doubles) is built by ``LinkDiagram._trusted``,
 which only builds the head map and makes each plain 5-tuple a
 ``Crossing``.  Its precondition is that the crossings are 5-tuples in
 ``Crossing`` field order with signs +1 or -1, that every arc is the head of
 exactly one port and the tail of exactly one port, and that the diagram is
 planar; the moves keep that (switching keeps each arc's ends and the
-embedding, and a splice gives each merged class one head and one tail or
-closes it into a loop).
+embedding, a lift erases one closed curve from the drawing, and a splice
+gives each merged class one head and one tail or closes it into a loop).
 """
 
 from __future__ import annotations
@@ -72,6 +74,9 @@ __all__ = [
 OVER = 0
 UNDER = 1
 _SEPARATOR = 0xFFFF  # closes each component walk in canonical codes
+# Canonical codes refuse a diagram of this many crossings: a token packs a
+# crossing label and two bits into 16 bits below the separator.
+CODE_CROSSING_LIMIT = 16000
 # _CCW[sign][slot]: the port slot next counterclockwise at a crossing
 _CCW = {1: (2, 3, 1, 0), -1: (3, 2, 0, 1)}
 
@@ -134,15 +139,15 @@ class _WorkingDiagram:
         self.kinks = set()
         self.bigons = set()
 
-    def splice(self, dead, pairs) -> tuple:
-        """Delete the crossings ``dead`` and merge the arcs of each pair.
+    def splice(self, dead, groups) -> tuple:
+        """Delete the crossings ``dead`` and merge the arcs of each group.
 
-        The one or two pairs must name every arc that loses a port and
-        keeps the other; arcs with both ports on ``dead`` just disappear.
-        Each merged class takes its smallest arc id, and only the crossings
-        that carry one of its arcs are relabeled.  A class left with no
-        port closes into a loop.  Returns (loops, the crossings it deleted
-        or relabeled).
+        The groups must name every arc that loses a port and keeps the
+        other; arcs with both ports on ``dead`` just disappear, whether a
+        group names them or not.  Each merged class takes the smallest arc
+        id of its group, and only the crossings that carry one of its arcs
+        are relabeled.  A class left with no port closes into a loop.
+        Returns (loops, the crossings it deleted or relabeled).
 
         The two pairs of an R2 move share no arc: at a coherent bigon
         (ci, dj) a component would run ci, dj, ci, dj, one crossing between
@@ -156,7 +161,7 @@ class _WorkingDiagram:
             del head[over_in], head[under_in], tail[over_out], tail[under_out]
         loops = 0
         touched = list(dead)
-        for members in pairs:
+        for members in groups:
             end = start = None
             heads = tails = 0
             for a in members:
@@ -226,15 +231,67 @@ class _WorkingDiagram:
         those crossings, and makes the same moves as after a scan of the
         whole diagram.  This form is left as it was.
         """
+        w = self.copy()
+        loops, todo = (0, ()) if x is None else w.smooth(x)
+        loops += w.reduce(todo)
+        return w.crossings(), loops
+
+    def lifted(self, arcs) -> tuple:
+        """Delete every crossing on ``arcs``, the arcs of one component, and
+        reduce, on a copy: (crossings, removed loops), the component counted
+        as one removed loop.
+
+        The skein engine lifts a component that is descending and lies
+        above every other one: the link is then the split union of an
+        unknot and the rest.  One ``splice`` deletes the crossings.  Each
+        other strand's run through them is one merged group, named by its
+        smallest arc id; a run with no live port (a component that meets
+        only ``arcs``) closes into a loop.  The precondition is that of
+        ``reduced``, and ``reduce`` starts from the crossings the splice
+        touched.  This form is left as it was.
+        """
+        w = self.copy()
+        cs, head = w.cs, w.head
+        on = set(arcs)
+        dead = []
+        runs = {}  # the in-arc of another strand's pass at a dead crossing -> its out-arc
+        for a in arcs:
+            ci, role = head[a]
+            over_in, over_out, under_in, under_out, _ = cs[ci]
+            other_in, other_out = (under_in, under_out) if role == OVER else (over_in, over_out)
+            if other_in not in on:
+                runs[other_in] = other_out
+                dead.append(ci)
+            elif role == OVER:  # a crossing of ``arcs`` with itself, met twice and deleted once
+                dead.append(ci)
+        inner = set(runs.values())
+        groups = []
+        for a in [a for a in runs if a not in inner]:
+            group = [a]
+            while a in runs:
+                a = runs.pop(a)
+                group.append(a)
+            groups.append(group)
+        while runs:  # what is left runs in closed loops
+            a, b = runs.popitem()
+            group = [a]
+            while b != a:
+                group.append(b)
+                b = runs.pop(b)
+            groups.append(group)
+        loops, touched = w.splice(dead, groups)
+        loops += w.reduce(touched)
+        return w.crossings(), loops + 1
+
+    def copy(self) -> "_WorkingDiagram":
+        """A form that moves apart from this one."""
         w = _WorkingDiagram.__new__(_WorkingDiagram)
         w.cs = self.cs[:]
         w.head = self.head.copy()
         w.tail = self.tail.copy()
         w.kinks = self.kinks.copy()
         w.bigons = self.bigons.copy()
-        loops, todo = (0, ()) if x is None else w.smooth(x)
-        loops += w.reduce(todo)
-        return w.crossings(), loops
+        return w
 
     def classify(self, indices) -> None:
         """Bring ``kinks`` and ``bigons`` up to date at the given crossings."""
@@ -590,6 +647,13 @@ class LinkDiagram:
                         bad.append(ci)
         return bad
 
+    def first_walk(self) -> tuple:
+        """The arcs of the component that ``non_descending_crossings`` walks
+        first, in walk order, and the set of crossings they pass."""
+        arcs = self._components()[0][0]
+        head = self._head
+        return arcs, {head[a][0] for a in arcs}
+
     # -- canonical encoding ------------------------------------------------
 
     def canonical_code(self) -> bytes:
@@ -616,7 +680,7 @@ class LinkDiagram:
         stream is level with the best one, than that stream.
         """
         crossings = self.crossings
-        if len(crossings) >= 16000:
+        if len(crossings) >= CODE_CROSSING_LIMIT:
             raise DiagramError("diagram too large to encode")
         if not crossings:
             raise DiagramError("a diagram with no crossings has no canonical code")

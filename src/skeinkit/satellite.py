@@ -40,7 +40,7 @@ free sign, that of the top-left entry; with every |n_ij| = 1 the closure is
 from __future__ import annotations
 
 from .braid import BraidWord, quasitoric_beta
-from .diagram import Crossing, LinkDiagram, from_braid_closure
+from .diagram import CODE_CROSSING_LIMIT, Crossing, LinkDiagram, from_braid_closure
 from .errors import DiagramError, SelfCheckError
 
 __all__ = [
@@ -167,10 +167,19 @@ def _insert_into_band(crossings, a0, a1, blocks, fresh):
 def _banded(d: LinkDiagram, m: int, blocks: list, caller: str) -> LinkDiagram:
     """The double of the knot diagram d with (m - w(D)) full twists in the
     overstrand ribbon at the minimal arc's head crossing, and then ``blocks``
-    in the band section of the minimal arc."""
+    in the band section of the minimal arc.  A double too large for a
+    canonical code is refused before it is built."""
+    # type(.) is int: True == 1 and 2.0 == 2, but neither is a framing
+    if type(m) is not int:
+        raise DiagramError(f"{caller} needs an int framing, got {m!r}")
     if d.component_count() != 1:
         raise DiagramError(f"{caller} needs a knot diagram (one component)")
     k = m - d.writhe()
+    size = 4 * len(d.crossings) + 2 * (abs(k) + len(blocks))
+    if size >= CODE_CROSSING_LIMIT:
+        raise DiagramError(
+            f"{caller} would build {size} crossings; canonical codes stop at {CODE_CROSSING_LIMIT}"
+        )
     twists = [(_full_twist, -1 if k > 0 else 1)] * abs(k)
     if not d.crossings:
         blocks = twists + blocks
@@ -196,8 +205,8 @@ def canonical_double(d: LinkDiagram, m: int) -> LinkDiagram:
 
 def canonical_whitehead(d: LinkDiagram, m: int, clasp_sign: int) -> LinkDiagram:
     """Canonical m-twisted Whitehead-double diagram with the given clasp sign."""
-    if clasp_sign not in (1, -1):
-        raise DiagramError("clasp_sign must be +1 or -1")
+    if type(clasp_sign) is not int or clasp_sign not in (1, -1):
+        raise DiagramError(f"clasp_sign must be +1 or -1, got {clasp_sign!r}")
     result = _banded(d, m, [(_clasp, clasp_sign)], "canonical_whitehead")
     if result.component_count() != 1:
         raise SelfCheckError("the Whitehead double is not a knot")
@@ -255,8 +264,8 @@ def build_K_A(matrix) -> LinkDiagram:
         raise DiagramError("matrix must be r x 3 with r >= 1")
     for row in rows:
         for n in row:
-            if not isinstance(n, int) or n == 0:
-                raise DiagramError("matrix entries must be nonzero integers")
+            if type(n) is not int or n == 0:
+                raise DiagramError(f"matrix entries must be nonzero integers, got {n!r}")
     for i in range(r):
         for j in range(2):
             if rows[i][j] * rows[i][j + 1] <= 0:

@@ -126,6 +126,21 @@ def test_values_that_are_not_ints_are_refused():
         assert BraidWord.parse_text(b.format_text()) == b
 
 
+@pytest.mark.parametrize(
+    "build, refusal",
+    [
+        (lambda: quasitoric_beta(True, 1), "requires an int r"),
+        (lambda: quasitoric_beta(1, True), "top_sign must be"),
+        (lambda: toric(2, 3.0), "toric braids need ints"),
+        (lambda: toric(2.0, 3), "toric braids need ints"),
+    ],
+    ids=["bool-r", "bool-top-sign", "float-q", "float-p"],
+)
+def test_family_arguments_that_are_not_ints_are_refused(build, refusal):
+    with pytest.raises(ValueError, match=refusal):
+        build()
+
+
 def test_text_round_trip():
     b = BraidWord(3, (2, -1, 2, -1, 2, -1))
     assert b.format_text() == "3: 2 -1 2 -1 2 -1"

@@ -122,6 +122,21 @@ def test_constructor_refusal_is_a_usage_error(capsys, argv, refusal):
     assert err.startswith(f"error: {refusal}")
 
 
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (["stats", "--braid", "2: 1 1 1", "--whitehead", "+", "--twists-to", "99999999999"], 200000000006),
+        (["homfly", "--braid", "2: 1 1 1", "--double", "--twists-to", "20000"], 40006),
+    ],
+    ids=["stats-whitehead", "homfly-double"],
+)
+def test_a_band_too_large_to_encode_is_a_usage_error(capsys, argv, size):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"would build {size} crossings; canonical codes stop at 16000" in err
+
+
 def test_homfly_framed_double_with_jones_check(capsys):
     code, out, _ = run(
         capsys, "homfly", "--braid", "2: 1 1 1", "--double", "--twists-to", "1", "--check", "jones"

@@ -590,6 +590,57 @@ def test_smoothing_matches_sequential_oracle(d, data):
     assert_form_is(w, switched(core, flips))
 
 
+def oracle_lift(d, arcs):
+    """``d`` without its crossings on ``arcs``, the other strands merged
+    through them, simplified: (crossings, removed loops), with the
+    component of ``arcs`` one of the loops."""
+    arcs = set(arcs)
+    dead = [c for c in d.crossings if c.over_in in arcs or c.under_in in arcs]
+    merges = [(c.over_in, c.over_out) for c in dead if c.over_in not in arcs]
+    merges += [(c.under_in, c.under_out) for c in dead if c.under_in not in arcs]
+    rest = oracle_rebuild([c for c in d.crossings if c not in dead], merges)
+    core, removed = oracle_simplify(rest)
+    return core.crossings, removed + 1
+
+
+def test_lifting_a_component_deletes_its_crossings():
+    # The Hopf link with its first component on top lifts to two loops;
+    # the chain of three Hopf-linked circles keeps the other clasp.
+    for letters, count, loops in (([1, 1], 0, 2), ([1, 1, 2, 2], 2, 1)):
+        d = closure(letters)
+        assert d.simplify()[0] is d
+        arcs, on_top = d.first_walk()
+        x = d.non_descending_crossings()[0]
+        assert x in on_top
+        w = _WorkingDiagram(d)
+        w.switch(x)
+        crossings, removed = w.lifted(arcs)
+        assert (len(crossings), removed) == (count, loops)
+        assert LinkDiagram(crossings).component_count() + removed == d.component_count()
+
+
+@given(diagrams, st.data())
+@settings(max_examples=200, deadline=None)
+def test_lifting_matches_sequential_oracle(d, data):
+    # From any switched form of a reduced diagram, as along a skein chain,
+    # ``lifted`` deletes the first component's crossings on a copy and
+    # reduces: the same result as a rebuild and a sequential simplify.
+    core, _ = d.simplify()
+    n = len(core.crossings)
+    if not n:
+        return
+    arcs, on_top = core.first_walk()
+    assert arcs[0] == min(core.arcs())
+    assert on_top == {i for i, c in enumerate(core.crossings) if c.over_in in arcs or c.under_in in arcs}
+    flips = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    w = _WorkingDiagram(core)
+    for x in flips:
+        w.switch(x)
+    cs = switched(core, flips)
+    assert w.lifted(arcs) == oracle_lift(LinkDiagram(cs), arcs)
+    assert_form_is(w, cs)
+
+
 @given(diagrams, st.data())
 @settings(max_examples=200, deadline=None)
 def test_moves_commute_with_order_preserving_relabelling(d, data):

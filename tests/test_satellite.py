@@ -84,6 +84,37 @@ def test_canonical_whitehead_rejects_a_bad_clasp_sign():
         canonical_whitehead(TREFOIL, 0, 0)
 
 
+@pytest.mark.parametrize(
+    "build, refusal",
+    [
+        (lambda: canonical_whitehead(TREFOIL, 3, True), "clasp_sign must be"),
+        (lambda: canonical_double(TREFOIL, True), "canonical_double needs an int framing"),
+        (lambda: canonical_double(TREFOIL, 2.5), "canonical_double needs an int framing"),
+        (lambda: canonical_whitehead(TREFOIL, 3.0, 1), "canonical_whitehead needs an int framing"),
+        (lambda: build_K_A([[True, True, True]]), "matrix entries must be nonzero integers"),
+    ],
+    ids=["bool-clasp", "bool-framing", "float-framing", "float-whitehead-framing", "bool-matrix"],
+)
+def test_builder_arguments_that_are_not_ints_are_refused(build, refusal):
+    # True == 1 and 3.0 == 3, so only a type test refuses them
+    with pytest.raises(DiagramError, match=refusal):
+        build()
+
+
+def test_a_band_too_large_to_encode_is_refused_before_it_is_built():
+    # 4c + 2|m - w| crossings, 2 more for a clasp, must stay below the
+    # canonical-code limit of 16,000; the trefoil has c = 3 and w = 3.
+    assert canonical_double(TREFOIL, 3 + 7993).crossing_count() == 15998
+    assert canonical_whitehead(TREFOIL, 3 - 7992, -1).crossing_count() == 15998
+    for build in (
+        lambda: canonical_double(TREFOIL, 3 + 7994),
+        lambda: canonical_whitehead(TREFOIL, 3 - 7993, 1),
+        lambda: canonical_whitehead(TREFOIL, 99999999999, 1),
+    ):
+        with pytest.raises(DiagramError, match="canonical codes stop at 16000"):
+            build()
+
+
 def test_canonical_double_of_round_unknot():
     assert canonical_double(LinkDiagram((), 1), 0) == LinkDiagram((), 2)
     d = canonical_double(LinkDiagram((), 1), 3)

@@ -9,7 +9,13 @@ from skeinkit.diagram import Crossing, LinkDiagram, _WorkingDiagram, from_braid_
 from skeinkit.errors import BudgetExceededError, CacheCorruptionError, DiagramError
 from skeinkit.hecke import homfly_closed_braid
 from skeinkit.laurent import DELTA, ONE, ZERO, LaurentPoly2, delta_power
-from skeinkit.satellite import blackboard_double, build_K_A, canonical_whitehead, quasitoric_closure
+from skeinkit.satellite import (
+    blackboard_double,
+    build_K_A,
+    canonical_double,
+    canonical_whitehead,
+    quasitoric_closure,
+)
 from skeinkit.skein import _LINE, SkeinEngine
 
 HOPF_PLUS = LaurentPoly2({(1, 1): 1, (1, -1): 1, (3, -1): -1})
@@ -251,16 +257,18 @@ def oracle_homfly(d: LinkDiagram, memo: dict) -> LaurentPoly2:
 @st.composite
 def skein_inputs(draw):
     """Braid closures, and for companions of at most 5 crossings their
-    blackboard doubles or, for knots, Whitehead doubles over a few
-    framings and both clasps."""
+    blackboard doubles or, for knots, framed doubles and Whitehead doubles
+    over a few framings, the latter with both clasps."""
     n = draw(st.integers(2, 4))
     letter = st.integers(1, n - 1).flatmap(lambda k: st.sampled_from([k, -k]))
     d = closure(draw(st.lists(letter, max_size=8)), strands=n)
-    kind = draw(st.sampled_from(["closure", "double", "whitehead"]))
+    kind = draw(st.sampled_from(["closure", "double", "framed", "whitehead"]))
     if kind == "closure" or len(d.crossings) > 5:
         return d
-    if kind == "whitehead" and d.component_count() == 1:
+    if kind != "double" and d.component_count() == 1:
         m = d.writhe() + draw(st.integers(-2, 2))
+        if kind == "framed":
+            return canonical_double(d, m)
         return canonical_whitehead(d, m, draw(st.sampled_from([1, -1])))
     return blackboard_double(d)
 
@@ -269,6 +277,31 @@ def skein_inputs(draw):
 @settings(max_examples=200, deadline=None)
 def test_truncated_chains_match_the_untruncated_oracle(d):
     assert SkeinEngine().homfly(d) == oracle_homfly(d, {})
+
+
+def test_lifted_chain_ends_match_the_untruncated_oracle(monkeypatch):
+    # A double has two components per component of its companion, so its
+    # chains can end by lifting the first component off as a split unknot;
+    # the oracle never does.  W2(beta_1) and the framed trefoil double have two
+    # components and never lift; W2(beta_2) lifts 45 and 61 times.
+    lifts = []
+    lifted = _WorkingDiagram.lifted
+
+    def counting(self, arcs):
+        lifts.append(arcs)
+        return lifted(self, arcs)
+
+    monkeypatch.setattr(_WorkingDiagram, "lifted", counting)
+    trefoil = quasitoric_closure(1, 1)
+    for d, count in (
+        (blackboard_double(trefoil), 0),
+        (canonical_double(trefoil, trefoil.writhe() + 2), 0),
+        (blackboard_double(quasitoric_closure(2, 1)), 45),
+        (blackboard_double(quasitoric_closure(2, -1)), 61),
+    ):
+        lifts.clear()
+        assert SkeinEngine().homfly(d) == oracle_homfly(d, {})
+        assert len(lifts) == count
 
 
 def memo_key_digest(engine) -> str:
@@ -282,14 +315,20 @@ def test_memo_dag_of_doubled_borromean_rings_is_pinned(monkeypatch):
     # labels (hence the skein basepoints), where each switch chain ends,
     # and the canonical code fix it.  The memo hits count the child edges
     # that point at a finished node, and the key digest pins the codes a
-    # disk cache is keyed by.  The smoothings and chain-end reductions pin
-    # which crossing each chain switches first and where it ends: chains
-    # run in traversal order to their descending ends smooth 3,077 and
-    # 3,220 times and reduce never.  The code searches pin what
-    # the crossings -> code table saves.  A ``reduced`` call with a crossing
-    # is a smoothing, one without is a chain end.
+    # disk cache is keyed by.  The smoothings and the two kinds of chain
+    # end pin which crossing each chain switches first and where it ends:
+    # chains run in traversal order to their descending ends smooth 3,077
+    # and 3,220 times and end early never, and chains that never lift
+    # their first component smooth 842 and 951 times.  The code searches
+    # pin what the crossings -> code table saves.  A ``reduced`` call with
+    # a crossing is a smoothing, one without is a chain end at a bigon,
+    # and a ``lifted`` call is a chain end with the first component on top.
     calls = []
-    for cls, name in ((_WorkingDiagram, "reduced"), (LinkDiagram, "canonical_code")):
+    for cls, name in (
+        (_WorkingDiagram, "reduced"),
+        (_WorkingDiagram, "lifted"),
+        (LinkDiagram, "canonical_code"),
+    ):
         method = getattr(cls, name)
 
         def counting(self, *args, name=name, method=method):
@@ -298,16 +337,17 @@ def test_memo_dag_of_doubled_borromean_rings_is_pinned(monkeypatch):
 
         monkeypatch.setattr(cls, name, counting)
     pins = (
-        (1, 565, 561, 842, 473, 927, "8b16460621172a016c2e31c9c5a3cad66d7a144fb43bb676fb080c9c80066369"),
-        (-1, 592, 610, 951, 494, 974, "99c091c0ef5234f174b7cf79d9790ad9b6ec57e396ab1756018fa936534797b1"),
+        (1, 523, 490, 654, 439, 45, 856, "95f61e103a07da625aedb69d2927177ebd74ec85794a1fce912605eed3376f37"),
+        (-1, 567, 556, 735, 475, 61, 929, "38a1cdc7af88ba38feda051e2c865b0083df84016aa77a5af4e72a6cdd3eca1c"),
     )
-    for top_sign, nodes, hits, smoothed, reduced, searches, digest in pins:
+    for top_sign, nodes, hits, smoothed, reduced, lifted, searches, digest in pins:
         calls.clear()
         e = SkeinEngine()
         e.homfly(blackboard_double(quasitoric_closure(2, top_sign)))
         assert e.counters()["nodes"] == nodes
         assert e.counters()["memo_hits"] == hits
         assert (calls.count("smoothed"), calls.count("reduced")) == (smoothed, reduced)
+        assert calls.count("lifted") == lifted
         assert calls.count("canonical_code") == searches
         assert memo_key_digest(e) == digest
 
@@ -323,20 +363,21 @@ def test_memo_dag_of_mirrored_figure_eight_whitehead_doubles_is_pinned():
     for m in range(w - 2, w + 3):
         for clasp in (1, -1):
             e.homfly(canonical_whitehead(companion, m, clasp))
-    assert (e.counters()["nodes"], e.counters()["memo_hits"]) == (94, 76)
-    assert memo_key_digest(e) == "ce454cc7d99609a4c0c2283345bb96196196d896e21f285c21929724a8c0b739"
+    assert (e.counters()["nodes"], e.counters()["memo_hits"]) == (95, 76)
+    assert memo_key_digest(e) == "29b51aadeceeb67eca195fa988295bd64778d121f86746a22ed341a2389663b1"
 
 
 def test_memo_dag_of_a_c8_whitehead_double_is_pinned():
     # The Whitehead double (writhe framing, positive clasp) of the c = 8
     # knot of K_A = [[2,1,2],[-1,-1,-1]], 34 crossings.  Chains that switch
-    # a bigon-making bad crossing first take 2,327 nodes; chains in plain
-    # traversal order took 9,499.
+    # a bigon-making bad crossing first and lift a first component that
+    # lies on top take 2,311 nodes; without the lift they took 2,327, and
+    # chains in plain traversal order 9,499.
     k = build_K_A([[2, 1, 2], [-1, -1, -1]])
     assert k.crossing_count() == 8
     e = SkeinEngine()
     p = e.homfly(canonical_whitehead(k, k.writhe(), 1))
-    assert e.counters()["nodes"] == 2327
+    assert e.counters()["nodes"] == 2311
     assert p.max_z_degree() == 16
 
 
@@ -346,6 +387,9 @@ def test_a_chain_with_a_bigon_maker_has_two_terms(monkeypatch):
     # diagram, and nothing else.  The bigon is found apart from the
     # working form: a piece is reduced and a switch keeps it kink-free, so
     # the switch leaves a bigon iff ``simplify`` then removes crossings.
+    # One case has a single term: a piece with one bad crossing, not on
+    # its first component, which then already lies on top and is lifted
+    # off before any switch.
     import skeinkit.skein as skein
 
     chain = skein._chain
@@ -358,16 +402,60 @@ def test_a_chain_with_a_bigon_maker_has_two_terms(monkeypatch):
 
     monkeypatch.setattr(skein, "_chain", recording)
     SkeinEngine().homfly(blackboard_double(quasitoric_closure(2, 1)))
-    makers = 0
+    makers = lifted_first = 0
     for piece, count in seen:
         n = piece.crossing_count()
         bad = piece.non_descending_crossings()
         if any(piece.switch_crossing(x).simplify()[0].crossing_count() < n for x in bad):
             makers += 1
-            assert count == 2
+            if len(bad) == 1 and not piece.first_walk()[1].intersection(bad):
+                lifted_first += 1
+                assert count == 1
+            else:
+                assert count == 2
         else:
             assert 1 <= count <= len(bad) + 1
-    assert makers > 0 and len(seen) == 565
+    assert makers > lifted_first == 1 and len(seen) == 523
+
+
+def test_a_chain_that_lifts_its_first_component_ends_there(monkeypatch):
+    # Once the bad crossings on the first component are switched, it is
+    # descending and lies above every other component: a split unknot.
+    # The chain ends there, with those crossings' smoothings and one
+    # lifted term, the switched diagram without any crossing of that
+    # component, so the lifted child is smaller than its node.
+    import skeinkit.skein as skein
+
+    chain = skein._chain
+    lifted = _WorkingDiagram.lifted
+    lifts = []
+    seen = []
+
+    def lifting(self, arcs):
+        lifts.append(arcs)
+        return lifted(self, arcs)
+
+    def recording(piece):
+        before = len(lifts)
+        terms = list(chain(piece))
+        seen.append((piece, terms, len(lifts) - before))
+        yield from terms
+
+    monkeypatch.setattr(_WorkingDiagram, "lifted", lifting)
+    monkeypatch.setattr(skein, "_chain", recording)
+    SkeinEngine().homfly(blackboard_double(quasitoric_closure(2, 1)))
+    ends = 0
+    for piece, terms, count in seen:
+        if not count:
+            continue
+        ends += 1
+        assert count == 1
+        top, on_top = piece.first_walk()
+        assert lifts[ends - 1] == top
+        assert len(terms) <= len(on_top.intersection(piece.non_descending_crossings())) + 1
+        _, crossings, removed = terms[-1]
+        assert len(crossings) <= piece.crossing_count() - len(on_top) and removed >= 1
+    assert ends == 45
 
 
 def test_trusted_diagrams_equal_validated_ones(monkeypatch):
@@ -435,7 +523,7 @@ def test_code_table_stays_under_its_cap(monkeypatch):
     e = SkeinEngine()
     e._codes = Recording()
     assert e.homfly(d) == want
-    assert e.counters()["nodes"] == 565
+    assert e.counters()["nodes"] == 523
     assert max(sizes) == 8
     assert sizes.count(1) > 1  # the table was cleared
 
@@ -582,7 +670,7 @@ def test_duplicate_lines_load_when_their_values_are_equal(tmp_path):
 
 @pytest.fixture(scope="module")
 def borromean_cache(tmp_path_factory):
-    """A cache of the doubled Borromean rings (565 entries) and its value."""
+    """A cache of the doubled Borromean rings (523 entries) and its value."""
     path = tmp_path_factory.mktemp("cache") / "poly.cache"
     e = SkeinEngine(cache_path=str(path))
     d = blackboard_double(quasitoric_closure(2, 1))
@@ -594,7 +682,7 @@ def borromean_cache(tmp_path_factory):
 def test_saved_lines_are_canonical_lines(borromean_cache, tmp_path):
     path = borromean_cache[0]
     lines = path.read_text().splitlines()
-    assert len(lines) == 565
+    assert len(lines) == 523
     e = SkeinEngine()
     edge = LaurentPoly2({(-(10**9 - 1), 10**9 - 1): -(2**80), (0, 0): 3})
     for i, p in enumerate([ONE, ZERO, DELTA, HOPF_PLUS, edge]):
@@ -650,9 +738,9 @@ def test_a_warm_run_parses_only_the_entries_it_reads(borromean_cache, monkeypatc
 
     monkeypatch.setattr(LaurentPoly2, "parse_text", staticmethod(counting))
     e = SkeinEngine(cache_path=str(path))
-    assert e.counters()["preloaded"] == 565 and calls == []
+    assert e.counters()["preloaded"] == 523 and calls == []
     assert e.homfly(d) == p
     assert e.homfly(d) == p
     read = [v for v in e.memo.values() if not isinstance(v, str)]
     assert e.counters()["nodes"] == 0
-    assert 1 <= len(calls) == len(read) < 565
+    assert 1 <= len(calls) == len(read) < 523
