@@ -50,7 +50,8 @@ which only builds the head map and makes each plain 5-tuple a
 exactly one port and the tail of exactly one port, and that the diagram is
 planar; the moves keep that (switching keeps each arc's ends and the
 embedding, a lift erases one closed curve from the drawing, and a splice
-gives each merged class one head and one tail or closes it into a loop).
+joins each strand's run through the deleted crossings into one arc with
+one head and one tail, or closes it into a loop).
 """
 
 from __future__ import annotations
@@ -108,16 +109,17 @@ class _WorkingDiagram:
     Deleted crossings leave ``None`` behind, so every live crossing keeps
     its position.  ``head`` and ``tail`` map each arc to the (crossing,
     role) port where it ends and where it starts.  The one move is
-    ``splice``, which relabels only the crossings that carry a merged arc;
-    ``smooth`` and ``reduce`` are made of it.  Three rules keep the
-    results equal to a rebuild per move, and so keep the arc labels that
-    fix the skein basepoints:
+    ``splice``, which deletes crossings and joins each strand's run
+    through them; ``smooth`` routes the runs across its crossing, and R1,
+    R2 and the lift let every strand run straight through (``_through``).
+    Three rules keep the results equal to a rebuild per move, and so keep
+    the arc labels that fix the skein basepoints:
 
     * each move is the first R1 kink by crossing position, otherwise the
       first R2 bigon;
-    * a merged arc class takes its smallest arc id;
-    * loops are counted per move: a class left with no port closes a loop
-      only in the move that merged it.
+    * a run takes the smallest id on it, the arcs it swallows included;
+    * loops are counted per move: a closed run closes a loop only in the
+      move that deleted its crossings.
 
     ``kinks`` and ``bigons`` hold the crossings that are a kink or a bigon.
     A form built from a reduced diagram starts with both empty and
@@ -139,59 +141,50 @@ class _WorkingDiagram:
         self.kinks = set()
         self.bigons = set()
 
-    def splice(self, dead, groups) -> tuple:
-        """Delete the crossings ``dead`` and merge the arcs of each group.
+    def splice(self, dead, runs) -> tuple:
+        """Delete the crossings ``dead`` and join each strand's run through them.
 
-        The groups must name every arc that loses a port and keeps the
-        other; arcs with both ports on ``dead`` just disappear, whether a
-        group names them or not.  Each merged class takes the smallest arc
-        id of its group, and only the crossings that carry one of its arcs
-        are relabeled.  A class left with no port closes into a loop.
-        Returns (loops, the crossings it deleted or relabeled).
-
-        The two pairs of an R2 move share no arc: at a coherent bigon
-        (ci, dj) a component would run ci, dj, ci, dj, one crossing between
-        two visits of ci, which Gauss's parity condition forbids in a planar
-        diagram; at an incoherent one ci or dj would be a kink, removed first.
+        ``runs`` maps the in-arc of each pass through a dead crossing to the
+        out-arc by which its strand leaves; ``splice`` consumes it.  Each
+        chain of runs from an arc with a live tail to one with a live head
+        becomes one arc, named by the smallest id on the chain, the arcs it
+        swallows included; only the two crossings at its ends are
+        relabeled.  Each closed chain is one loop.  Returns (loops, the
+        crossings it deleted or relabeled).
         """
         cs, head, tail = self.cs, self.head, self.tail
         for ci in dead:
             over_in, over_out, under_in, under_out, _ = cs[ci]
             cs[ci] = None
             del head[over_in], head[under_in], tail[over_out], tail[under_out]
-        loops = 0
         touched = list(dead)
-        for members in groups:
-            end = start = None
-            heads = tails = 0
-            for a in members:
-                port = head.pop(a, None)
-                if port is not None:
-                    end = port
-                    heads += 1
-                port = tail.pop(a, None)
-                if port is not None:
-                    start = port
-                    tails += 1
-            if not heads and not tails:
-                loops += 1
-                continue
-            root = min(members)
-            if heads != 1 or tails != 1:
-                raise DiagramError(f"arc {root} has {heads} heads and {tails} tails")
-            ci, role = head[root] = end
+        for a in [a for a in runs if a in tail]:
+            chain = [a]
+            b = runs.pop(a)
+            while b in runs:
+                chain.append(b)
+                b = runs.pop(b)
+            chain.append(b)
+            root = min(chain)
+            ci, role = head[root] = head.pop(b)
             over_in, over_out, under_in, under_out, sign = cs[ci]
             if role == OVER and over_in != root:
                 cs[ci] = (root, over_out, under_in, under_out, sign)
             elif role == UNDER and under_in != root:
                 cs[ci] = (over_in, over_out, root, under_out, sign)
-            cj, role = tail[root] = start
+            cj, role = tail[root] = tail.pop(a)
             over_in, over_out, under_in, under_out, sign = cs[cj]
             if role == OVER and over_out != root:
                 cs[cj] = (over_in, root, under_in, under_out, sign)
             elif role == UNDER and under_out != root:
                 cs[cj] = (over_in, over_out, under_in, root, sign)
             touched += (ci, cj)
+        loops = 0
+        while runs:  # what is left runs in closed chains
+            a, b = runs.popitem()
+            while b != a:
+                b = runs.pop(b)
+            loops += 1
         return loops, touched
 
     def sign(self, x: int) -> int:
@@ -200,7 +193,7 @@ class _WorkingDiagram:
     def smooth(self, x: int) -> tuple:
         """The oriented smoothing of crossing x; returns ``splice``'s (loops, touched)."""
         over_in, over_out, under_in, under_out, _ = self.cs[x]
-        return self.splice((x,), ((over_in, under_out), (under_in, over_out)))
+        return self.splice((x,), {over_in: under_out, under_in: over_out})
 
     def switch(self, x: int) -> bool:
         """Switch crossing x in place: one crossing and its four ports.
@@ -238,50 +231,21 @@ class _WorkingDiagram:
 
     def lifted(self, arcs) -> tuple:
         """Delete every crossing on ``arcs``, the arcs of one component, and
-        reduce, on a copy: (crossings, removed loops), the component counted
-        as one removed loop.
+        reduce, on a copy: (crossings, removed loops).
 
         The skein engine lifts a component that is descending and lies
         above every other one: the link is then the split union of an
-        unknot and the rest.  One ``splice`` deletes the crossings.  Each
-        other strand's run through them is one merged group, named by its
-        smallest arc id; a run with no live port (a component that meets
-        only ``arcs``) closes into a loop.  The precondition is that of
-        ``reduced``, and ``reduce`` starts from the crossings the splice
-        touched.  This form is left as it was.
+        unknot and the rest.  One ``splice`` deletes the crossings, every
+        strand running straight through them.  The component closes into
+        a loop, and so does any other that meets only ``arcs``.  The
+        precondition is that of ``reduced``, and ``reduce`` starts from the
+        crossings the splice touched.  This form is left as it was.
         """
         w = self.copy()
-        cs, head = w.cs, w.head
-        on = set(arcs)
-        dead = []
-        runs = {}  # the in-arc of another strand's pass at a dead crossing -> its out-arc
-        for a in arcs:
-            ci, role = head[a]
-            over_in, over_out, under_in, under_out, _ = cs[ci]
-            other_in, other_out = (under_in, under_out) if role == OVER else (over_in, over_out)
-            if other_in not in on:
-                runs[other_in] = other_out
-                dead.append(ci)
-            elif role == OVER:  # a crossing of ``arcs`` with itself, met twice and deleted once
-                dead.append(ci)
-        inner = set(runs.values())
-        groups = []
-        for a in [a for a in runs if a not in inner]:
-            group = [a]
-            while a in runs:
-                a = runs.pop(a)
-                group.append(a)
-            groups.append(group)
-        while runs:  # what is left runs in closed loops
-            a, b = runs.popitem()
-            group = [a]
-            while b != a:
-                group.append(b)
-                b = runs.pop(b)
-            groups.append(group)
-        loops, touched = w.splice(dead, groups)
+        dead = {w.head[a][0] for a in arcs}
+        loops, touched = w.splice(dead, _through(w.cs, dead))
         loops += w.reduce(touched)
-        return w.crossings(), loops + 1
+        return w.crossings(), loops
 
     def copy(self) -> "_WorkingDiagram":
         """A form that moves apart from this one."""
@@ -321,43 +285,41 @@ class _WorkingDiagram:
         ``kinks`` and ``bigons`` must be correct at every crossing outside
         ``todo``.  The move is always the first kink by crossing position,
         otherwise the first bigon, as a scan of the whole diagram would
-        find.  After a move only the crossings it touched or deleted can
-        change their kink or bigon status: every arc a splice merges has
-        lost a port, so no other crossing carries a relabelled arc, and
-        ``head`` changes only at the ports the splice relabelled.
+        find: it deletes the kink, or the bigon and the crossing at its
+        over-out head.  After a move only the crossings it touched or
+        deleted can change their kink or bigon status: every arc a splice
+        joins into a run has lost a port, so no other crossing carries a
+        relabelled arc, and ``head`` changes only at the ports the splice
+        relabelled.
         """
         cs, head, kinks, bigons = self.cs, self.head, self.kinks, self.bigons
         loops = 0
         while True:
             self.classify(todo)
             if kinks:
-                ci = min(kinks)
-                over_in, over_out, under_in, under_out, _ = cs[ci]
-                dead = (ci,)
-                if over_out == under_in:
-                    pairs = ((over_in, under_out),)
-                else:
-                    pairs = ((under_in, over_out),)
+                dead = (min(kinks),)
             elif bigons:
                 ci = min(bigons)
-                over_in, over_out, under_in, under_out, _ = cs[ci]
-                dj = head[over_out][0]
-                d_over_in, d_over_out, d_under_in, d_under_out, _ = cs[dj]
-                dead = (ci, dj)
-                if under_out == d_under_in:
-                    # coherent bigon: both strands travel ci -> dj
-                    pairs = ((over_in, d_over_out), (under_in, d_under_out))
-                else:
-                    # incoherent bigon: under strand travels dj -> ci
-                    pairs = ((over_in, d_over_out), (d_under_in, under_out))
+                dead = (ci, head[cs[ci][1]][0])
             else:
                 return loops
-            closed, todo = self.splice(dead, pairs)
+            closed, todo = self.splice(dead, _through(cs, dead))
             loops += closed
 
     def crossings(self) -> tuple:
         # a deleted crossing is None, a live one a nonempty tuple
         return tuple(filter(None, self.cs))
+
+
+def _through(cs, dead) -> dict:
+    """``splice``'s runs for deleting the crossings ``dead`` (positions in
+    ``cs``) with each strand running straight through: R1, R2 and the lift."""
+    runs = {}
+    for ci in dead:
+        over_in, over_out, under_in, under_out, _ = cs[ci]
+        runs[over_in] = over_out
+        runs[under_in] = under_out
+    return runs
 
 
 class DiagramStats(NamedTuple):

@@ -18,17 +18,16 @@ class BudgetExceededError(SkeinKitError):
     wall-clock budget, the bracket's ``STATE_BUDGET`` on live states, or the
     Hecke trace's ``MAX_STRANDS`` ceiling.
 
-    Never a wrong polynomial.  The skein engine sets ``nodes``, ``elapsed``
-    and ``memo_size``; they are ``None`` for the bracket and Hecke budgets.
+    Never a wrong polynomial.  The skein engine sets ``nodes`` and
+    ``elapsed``; they are ``None`` for the bracket and Hecke budgets.
     ``args[0]`` is the bare reason; ``str()`` appends the nodes used and the
     seconds spent, when known.
     """
 
-    def __init__(self, message, *, nodes=None, elapsed=None, memo_size=None):
+    def __init__(self, message, *, nodes=None, elapsed=None):
         super().__init__(message)
         self.nodes = nodes
         self.elapsed = elapsed
-        self.memo_size = memo_size
 
     def __str__(self) -> str:
         text = super().__str__()

@@ -222,6 +222,9 @@ def replace_crossing_with_half_twists(d: LinkDiagram, crossing: int, count: int)
     The crossing is assumed braid-like (both strands coherently oriented),
     which holds for every diagram the family generators feed in.
     """
+    # type(.) is int: True == 1 and 2.0 == 2, but neither is an index or a count
+    if type(crossing) is not int or type(count) is not int:
+        raise DiagramError(f"crossing {crossing!r} and count {count!r} must be ints")
     if not (0 <= crossing < len(d.crossings)):
         raise DiagramError(f"no crossing {crossing}")
     c = d.crossings[crossing]

@@ -258,7 +258,6 @@ class SkeinEngine:
                     f"skein {'node' if out_of_nodes else 'wall-clock'} budget exhausted",
                     nodes=self.nodes_expanded,
                     elapsed=time.monotonic() - t0,
-                    memo_size=len(memo),
                 )
             terms = nodes[code] = []
             for coeff, crossings, removed in _chain(piece):

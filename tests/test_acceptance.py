@@ -8,6 +8,8 @@ count, so a check that is missing, SKIP or FAIL fails it; sample sizes that
 no check id shows are read from the check notes.  The r=3 stretch run
 (criterion 2) happens only when SKEINKIT_STRETCH=1 is set; its r=3,
 top_sign=+1 polynomial must then equal the one in bench/reference.json.
+Criterion 2 also pins the skein node count of the main suite at either
+scale, so a change to the memo DAG fails it.
 """
 
 import json
@@ -39,11 +41,30 @@ def _require(reports, prefix: str, count: int) -> list:
     return found if ok else []
 
 
+# Skein nodes of the main suite, the first to run on a cold engine, by
+# R_MAX.  They pin the memo DAG at the paper's scale: the r=3 double alone
+# takes 19,204 nodes with top sign +1 and 23,091 with -1.
+MAIN_NODES = {2: 408, 3: 38_986}
+
+
 @pytest.fixture(scope="module")
-def runs():
-    """Each suite's reports, run in the order of ``verify --suite all`` on one engine."""
-    cfg = SuiteConfig(engine=SkeinEngine(), r_max=R_MAX)
-    return {name: suite(cfg) for name, suite in SUITES.items()}
+def suite_runs():
+    """Each suite's reports, run in the order of ``verify --suite all`` on one
+    engine, and the skein nodes each suite expanded."""
+    engine = SkeinEngine()
+    cfg = SuiteConfig(engine=engine, r_max=R_MAX)
+    reports, nodes = {}, {}
+    for name, suite in SUITES.items():
+        before = engine.counters()["nodes"]
+        reports[name] = suite(cfg)
+        nodes[name] = engine.counters()["nodes"] - before
+    return reports, nodes
+
+
+@pytest.fixture(scope="module")
+def runs(suite_runs):
+    """Each suite's reports, by suite name."""
+    return suite_runs[0]
 
 
 @pytest.fixture(scope="module")
@@ -85,11 +106,12 @@ def test_criterion_1_reports_deterministic(borromean, runs):
     assert borromean[0][0].content_key() == shared.content_key()
 
 
-def test_criterion_2_doubled_degree_formula(runs):
+def test_criterion_2_doubled_degree_formula(suite_runs):
+    runs, nodes = suite_runs
     degrees = _require(runs["main"], "max-z-degree[r=", 2 * R_MAX)
     mirrors = _require(runs["main"], "mirror-identity[r=", R_MAX)
     r1_ms = degrees[0][0].ms if degrees else None
-    ok = bool(degrees and mirrors and r1_ms <= 1_000)
+    ok = bool(degrees and mirrors and r1_ms <= 1_000 and nodes["main"] == MAIN_NODES[R_MAX])
     stretch = "; r=3 skipped (set SKEINKIT_STRETCH=1)"
     if R_MAX == 3:
         want = json.loads(REFERENCE.read_text())["doubled_quasitoric_r3_top_plus"]["homfly"]
@@ -104,7 +126,7 @@ def test_criterion_2_doubled_degree_formula(runs):
         2,
         ok,
         f"max z-degree of doubled closures = 6r-1, mirror identity holds, r<={R_MAX}: "
-        f"{[c.got for _, c in degrees]} (r=1 in {r1_ms} ms{stretch})",
+        f"{[c.got for _, c in degrees]} (r=1 in {r1_ms} ms, {nodes['main']} skein nodes{stretch})",
     )
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from skeinkit import diagram
 from skeinkit.braid import BraidWord, quasitoric_beta
-from skeinkit.diagram import OVER, Crossing, LinkDiagram, _WorkingDiagram, from_braid_closure
+from skeinkit.diagram import OVER, UNDER, Crossing, LinkDiagram, _WorkingDiagram, from_braid_closure
 from skeinkit.errors import DiagramError
 from skeinkit.satellite import blackboard_double, build_K_A, canonical_double, canonical_whitehead
 from skeinkit.suites import _exhaustive_words
@@ -235,9 +235,9 @@ def test_pd_parser_refuses_non_planar_codes():
 
 
 def test_r2_pairs_sharing_an_arc_are_refused_as_not_planar():
-    # The one input seen to give an R2 move whose two pairs share an arc: a
-    # coherent bigon on a component that runs c0, c1, c0, c1.  Gauss's parity
-    # condition rules that out in the plane, so splice never merges the pairs.
+    # The one input seen to give an R2 bigon whose two strands are one run
+    # through it: a coherent bigon on a component that runs c0, c1, c0, c1.
+    # Gauss's parity condition rules that out in the plane.
     with pytest.raises(DiagramError, match="not planar: 2 faces for 2 crossings"):
         LinkDiagram.from_pd_text("PD[X(0,1,2,3;+1), X(1,2,3,0;+1)]")
 
@@ -380,7 +380,11 @@ def oracle_closure(b):
     return LinkDiagram(crossings, touched.count(False))
 
 
-def oracle_rebuild(crossings, merges):
+def oracle_merge(crossings, merges):
+    """The crossings with the arcs of each merged class relabelled to its
+    smallest id, through a union-find, and the number of classes left with
+    no port (loops).  No planarity check: a deleted crossing set need not
+    leave a planar diagram."""
     parent = {}
 
     def find(a):
@@ -393,10 +397,14 @@ def oracle_rebuild(crossings, merges):
         ra, rb = sorted((find(a), find(b)))
         if ra != rb:
             parent[rb] = ra
-    new = [Crossing(*(find(a) for a in c[:4]), c.sign) for c in crossings]
+    new = tuple(Crossing(*(find(a) for a in c[:4]), c.sign) for c in crossings)
     present = {a for c in new for a in c[:4]}
     vanished = {find(a) for pair in merges for a in pair} - present
-    return LinkDiagram(new, len(vanished))
+    return new, len(vanished)
+
+
+def oracle_rebuild(crossings, merges):
+    return LinkDiagram(*oracle_merge(crossings, merges))
 
 
 def oracle_smooth(d, x):
@@ -406,22 +414,24 @@ def oracle_smooth(d, x):
     return LinkDiagram(smoothed.crossings, d.free_loops + smoothed.free_loops)
 
 
+def passes(crossings):
+    """Every pass of the crossings, as (in-arc, out-arc): deleting them with
+    each strand running straight through merges these pairs."""
+    return [pair for c in crossings for pair in ((c.over_in, c.over_out), (c.under_in, c.under_out))]
+
+
 def oracle_move(d):
-    """The first R1 kink by position, else the first R2 bigon, as (dead, merges)."""
+    """The dead crossings of the first R1 kink by position, else of the first R2 bigon."""
     for ci, c in enumerate(d.crossings):
-        if c.over_out == c.under_in:
-            return {ci}, [(c.over_in, c.under_out)]
-        if c.under_out == c.over_in:
-            return {ci}, [(c.under_in, c.over_out)]
+        if c.over_out == c.under_in or c.under_out == c.over_in:
+            return {ci}
     for ci, c in enumerate(d.crossings):
         dj, role = d.arc_head(c.over_out)
         if dj == ci or role != OVER:
             continue
         e = d.crossings[dj]
-        if c.under_out == e.under_in:
-            return {ci, dj}, [(c.over_in, e.over_out), (c.under_in, e.under_out)]
-        if e.under_out == c.under_in:
-            return {ci, dj}, [(c.over_in, e.over_out), (e.under_in, c.under_out)]
+        if c.under_out == e.under_in or e.under_out == c.under_in:
+            return {ci, dj}
     return None
 
 
@@ -430,11 +440,11 @@ def oracle_simplify(d):
     while True:
         removed += d.free_loops
         d = LinkDiagram(d.crossings, 0)
-        move = oracle_move(d)
-        if move is None:
+        dead = oracle_move(d)
+        if dead is None:
             return d, removed
-        dead, merges = move
-        d = oracle_rebuild([c for i, c in enumerate(d.crossings) if i not in dead], merges)
+        rest = [c for i, c in enumerate(d.crossings) if i not in dead]
+        d = oracle_rebuild(rest, passes(d.crossings[i] for i in dead))
 
 
 def oracle_code(d):
@@ -590,17 +600,60 @@ def test_smoothing_matches_sequential_oracle(d, data):
     assert_form_is(w, switched(core, flips))
 
 
+def assert_ports_match(w):
+    """The port maps of a form with tombstones are those of its live crossings."""
+    head, tail = {}, {}
+    for ci, c in enumerate(w.cs):
+        if c is not None:
+            head[c[0]], head[c[2]] = (ci, OVER), (ci, UNDER)
+            tail[c[1]], tail[c[3]] = (ci, OVER), (ci, UNDER)
+    assert (w.head, w.tail) == (head, tail)
+
+
+@given(diagrams, st.data())
+@settings(max_examples=200, deadline=None)
+def test_straight_through_deletion_matches_the_oracle_rebuild(d, data):
+    # Any crossing set, not only a kink, a bigon or a component's crossings:
+    # ``splice`` joins each strand's run through the set, names it by the
+    # smallest id on the run, and counts each closed run once.  The set is
+    # every crossing of some components, which close into loops, and a few
+    # more crossings at random.
+    n = len(d.crossings)
+    if not n:
+        return
+    comps = d._components()[0]
+    gone = data.draw(st.sets(st.integers(0, len(comps) - 1), max_size=len(comps)))
+    dead = {d.arc_head(a)[0] for k in gone for a in comps[k]}
+    dead |= data.draw(st.sets(st.integers(0, n - 1), min_size=0 if dead else 1, max_size=3))
+    w = _WorkingDiagram(d)
+    loops, touched = w.splice(dead, diagram._through(w.cs, dead))
+    rest = [c for i, c in enumerate(d.crossings) if i not in dead]
+    assert (w.crossings(), loops) == oracle_merge(rest, passes(d.crossings[i] for i in dead))
+    assert loops >= len(gone)
+    assert_ports_match(w)
+    # every crossing the splice deleted or relabelled is in ``touched``
+    changed = {i for i, c in enumerate(d.crossings) if w.cs[i] != c}
+    assert changed <= set(touched)
+
+
+def test_deleting_every_crossing_closes_each_component():
+    # the doubled Borromean rings: six components, each one loop
+    d = blackboard_double(from_braid_closure(quasitoric_beta(2, 1)))
+    w = _WorkingDiagram(d)
+    dead = range(len(w.cs))
+    assert w.splice(dead, diagram._through(w.cs, dead))[0] == d.component_count() == 6
+    assert w.crossings() == () and w.head == w.tail == {}
+
+
 def oracle_lift(d, arcs):
-    """``d`` without its crossings on ``arcs``, the other strands merged
-    through them, simplified: (crossings, removed loops), with the
-    component of ``arcs`` one of the loops."""
+    """``d`` without its crossings on ``arcs``, every strand merged straight
+    through them, simplified: (crossings, removed loops).  The component of
+    ``arcs`` closes into one of the loops."""
     arcs = set(arcs)
     dead = [c for c in d.crossings if c.over_in in arcs or c.under_in in arcs]
-    merges = [(c.over_in, c.over_out) for c in dead if c.over_in not in arcs]
-    merges += [(c.under_in, c.under_out) for c in dead if c.under_in not in arcs]
-    rest = oracle_rebuild([c for c in d.crossings if c not in dead], merges)
+    rest = oracle_rebuild([c for c in d.crossings if c not in dead], passes(dead))
     core, removed = oracle_simplify(rest)
-    return core.crossings, removed + 1
+    return core.crossings, removed
 
 
 def test_lifting_a_component_deletes_its_crossings():

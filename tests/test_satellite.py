@@ -182,6 +182,14 @@ def test_half_twist_replacement():
         replace_crossing_with_half_twists(TREFOIL, 0, 0)
 
 
+def test_half_twist_replacement_refuses_arguments_that_are_not_ints():
+    # True == 1 and 2.0 == 2, so only a type test refuses them; 2.0 used to
+    # raise a bare TypeError, and True passed as crossing 1 or count 1
+    for crossing, count in ((0, 2.0), (0, True), (True, 1), (0.0, 3)):
+        with pytest.raises(DiagramError, match=f"crossing {crossing!r} and count {count!r} must be ints"):
+            replace_crossing_with_half_twists(TREFOIL, crossing, count)
+
+
 def test_full_twist_replacement_changes_components():
     d = quasitoric_closure(2, 1)
     assert d.component_count() == 3
