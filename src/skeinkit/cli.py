@@ -57,8 +57,10 @@ def _add_input_options(p: argparse.ArgumentParser) -> None:
 
 def _add_budget_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cache", metavar="PATH", help="polynomial cache file")
-    p.add_argument("--nodes", type=_positive_int, default=10**8, help="skein node budget")
-    p.add_argument("--timeout", type=_positive_seconds, metavar="SECONDS", help="wall budget")
+    p.add_argument("--nodes", type=_positive_int, default=10**8, help="skein nodes per evaluation")
+    p.add_argument(
+        "--timeout", type=_positive_seconds, metavar="SECONDS", help="wall seconds per evaluation"
+    )
     p.add_argument("--out", choices=["text", "json", "csv"], default="text")
 
 

@@ -24,14 +24,17 @@ R2 preserves P, and that child is at least two crossings smaller.
 Recursion therefore descends strictly in crossing count, which makes the
 memo DAG acyclic and termination unconditional.
 
-The chain takes its bad crossings in traversal order, except that the
-first bad crossing whose switch alone leaves a bigon goes first.  A node
-with such a crossing, and more than one bad crossing, then has just two
-terms: that crossing's smoothing and the reduced switched diagram.  The
-order is free: the skein relation holds at any crossing, and switching
-every bad crossing, in any order, leaves the same descending diagram.
-Both children are smaller, by one and two crossings, so the memo DAG stays
-acyclic.
+A node with two or more bad crossings first probes them in traversal
+order, switching each and back, and the first whose switch alone leaves a
+bigon ends the chain at once.  The node then has just two terms: that
+crossing's smoothing and the reduced switched diagram.  The order is free:
+the skein relation holds at any crossing, and switching every bad
+crossing, in any order, leaves the same descending diagram.  The smoothing
+is taken on the switched form, which gives the crossings of the unswitched
+one: the oriented smoothing routes the same runs either way, and the
+switch reclassified the crossings whose kink or bigon status depended on
+the crossing, its tail neighbours.  Both children are smaller, by one and
+two crossings, so the memo DAG stays acyclic.
 
 Otherwise, in a piece with bad crossings off its first component, the
 chain ends once the first component's own bad crossings are switched.
@@ -91,16 +94,19 @@ never read back as the text it was read as.  A check on each cache entry
 (the Morton bound and parity of its decoded diagram) belongs in ``value``,
 where the entry is first read.
 
-The evaluator runs on an explicit stack, so deep skein trees cannot overflow
-the interpreter stack.  A node is expanded once, when it first reaches the
-top: it splits each term's result into pieces as the chain makes it, and
-pushes the pieces that are not memoized.  Every child has fewer crossings
-than its parent, so it is never an ancestor, and each is in the memo by
-the time the parent is on top again; the second visit only combines memo
-values.  So a node's value is written once, under a code the memo lacked:
+Each ``homfly()`` call resolves its pieces in one loop on an explicit
+stack, so deep skein trees cannot overflow the interpreter stack.  An
+entry is (code, piece, terms).  A pop whose code is already memoized is a
+memo hit, and the hit count counts these pops.  Any other entry without
+terms is expanded: it goes back with the terms its chain makes, each
+result split into pieces, and those pieces go on top.  The entries above
+it are then its descendants, with fewer crossings, so none shares its
+code; when it is next on top every child is memoized, and its terms are
+summed.  So a node's value is written once, under a code the memo lacked:
 no entry is ever overwritten, and only ``load_cache``, where one code can
 come twice, checks two values of a code against each other.  Identical
 inputs yield identical polynomials regardless of the memo hit pattern.
+The node budget, like the wall budget, bounds one ``homfly()`` call.
 """
 
 from __future__ import annotations
@@ -213,8 +219,7 @@ class SkeinEngine:
         t0 = time.monotonic()
         core, removed = d.simplify()
         exponent, pieces = _decompose(core, removed, self._codes)
-        for code, piece in pieces:
-            self._resolve(piece, code, t0)
+        self._resolve(pieces, t0)
         result = self._product(exponent, pieces)
         _self_check(d, result)
         return result
@@ -227,77 +232,68 @@ class SkeinEngine:
             result = result * self.value(code)
         return result
 
-    def _resolve(self, piece0: LinkDiagram, code0: bytes, t0: float) -> None:
-        """Evaluate one piece of ``_decompose`` into the memo; ``t0`` is when
-        homfly() began.  A node's terms are made on its first visit, where
-        each chain result becomes a diagram and is split, and summed on its
-        second (module docstring)."""
+    def _resolve(self, pieces, t0: float) -> None:
+        """Evaluate ``pieces``, (code, piece) pairs as ``_decompose`` returns
+        them, into the memo; ``t0`` is when homfly() began.  A stack entry is
+        (code, piece, terms): an entry without terms is a memo hit or is
+        expanded, going back with its terms under its children, and an
+        entry with terms is summed (module docstring).  The node budget
+        counts this call's nodes."""
         memo = self.memo
         codes = self._codes
-        if code0 in memo:
-            self.memo_hits += 1
-            return
         deadline = None if self.wall_seconds is None else t0 + self.wall_seconds
-        nodes = {}  # code -> [(coeff, delta exponent, [(child code, child piece)])]
-        stack = [(code0, piece0)]
+        nodes = 0
+        stack = [(code, piece, None) for code, piece in reversed(pieces)]
         while stack:
-            code, piece = stack[-1]
-            if code in memo:
-                stack.pop()
-                continue
-            terms = nodes.pop(code, None)
+            code, piece, terms = stack.pop()
             if terms is not None:
-                # Second visit: every child is memoized (module docstring).
                 memo[code] = sum((coeff * self._product(e, ps) for coeff, e, ps in terms), ZERO)
-                stack.pop()
                 continue
+            if code in memo:
+                self.memo_hits += 1
+                continue
+            nodes += 1
             self.nodes_expanded += 1
-            out_of_nodes = self.nodes_expanded > self.node_budget
+            out_of_nodes = nodes > self.node_budget
             if out_of_nodes or (deadline is not None and time.monotonic() > deadline):
                 raise BudgetExceededError(
                     f"skein {'node' if out_of_nodes else 'wall-clock'} budget exhausted",
-                    nodes=self.nodes_expanded,
+                    nodes=nodes,
                     elapsed=time.monotonic() - t0,
                 )
-            terms = nodes[code] = []
+            terms = []
+            stack.append((code, piece, terms))
             for coeff, crossings, removed in _chain(piece):
                 exponent, children = _decompose(LinkDiagram._trusted(crossings), removed, codes)
                 terms.append((coeff, exponent, children))
-                for child in children:
-                    if child[0] in memo:
-                        self.memo_hits += 1
-                    else:
-                        stack.append(child)
+                stack.extend((c, p, None) for c, p in children)
 
 
 def _chain(piece: LinkDiagram):
     """The terms of ``piece``'s switch chain, (coefficient, crossings,
     removed loops): the smoothing of each bad crossing, in chain order,
-    and then the chain's end.  That end is the reduced switched diagram at
+    and then the chain's end.  With two or more bad crossings, the first
+    whose switch leaves a bigon (each is switched and back, which restores
+    the form and its sets) gives the only two terms: its smoothing, taken
+    on the switched form, and the reduced switched diagram.  Else the chain
+    runs in traversal order and ends with the reduced switched diagram at
     the first switch that leaves a bigon while bad crossings remain; else,
-    once the first component's bad crossings (the first ``lift`` of
-    ``bad``) are switched while others remain, the lifted diagram; else
-    the descending diagram, an unlink of mu components: no crossings, mu
-    loops.  Chain order is traversal order, but with two or more bad
-    crossings, the first whose switch leaves a bigon is moved to the front,
-    so the chain ends at its first switch with two terms and never lifts.
-    Each crossing is tested by switching it and back, which restores the
-    form and its kink and bigon sets.  Why each end is exact, and the one
-    working form the chain runs on: module docstring."""
+    once the first component's bad crossings are switched while others
+    remain, with the lifted diagram; else with the descending diagram, an
+    unlink of mu components: no crossings, mu loops.  Why each end is
+    exact, and the one working form the chain runs on: module docstring."""
     bad = piece.non_descending_crossings()
     w = _WorkingDiagram(piece)
-    lift = None
     if len(bad) > 1:
-        for i, x in enumerate(bad):
-            bigon = w.switch(x)
+        for x in bad:
+            sign = w.sign(x)
+            if w.switch(x):
+                yield (_monomial(sign, sign, 1), *w.reduced(x))
+                yield (_monomial(1, 2 * sign, 0), *w.reduced())
+                return
             w.switch(x)
-            if bigon:
-                bad.insert(0, bad.pop(i))
-                lift = len(bad)
-                break
-    if lift is None:
-        top, on_top = piece.first_walk()
-        lift = len(on_top.intersection(bad))
+    top, on_top = piece.first_walk()
+    lift = len(on_top.intersection(bad))
     k = 0  # the prefix is v^k (see _monomial)
     for x in bad[:lift]:
         sign = w.sign(x)

@@ -391,6 +391,18 @@ def test_r_max_alone_decides_r(capsys):
         ]
 
 
+def test_module_runs_from_a_checkout():
+    # The README's checkout command: ``python -m skeinkit`` runs __main__.py.
+    proc = subprocess.run(
+        [sys.executable, "-m", "skeinkit", "stats", "--braid", "2: 1 1 1"],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == b"braid(2: 1 1 1): c=3 s=2 w=3 mu=1 bound=2 genus=1\n"
+
+
 @pytest.mark.parametrize("out", ["text", "json"])
 def test_closed_stdout_is_clean_exit(out):
     read_end, write_end = os.pipe()
@@ -434,15 +446,25 @@ def test_bracket_state_budget_is_a_skip(capsys, monkeypatch):
 
 
 def test_verify_structural_budget_skips(capsys):
+    # The budget bounds each homfly() call.  Three nodes are too few for the
+    # first call of the mirror report, which ends in a SKIP under its
+    # check's name; each braid of the two later reports needs at most one
+    # new node once the memo holds the earlier ones, so both pass.
     code, out, _ = run(
-        capsys, "verify", "--suite", "structural", "--nodes", "5", "--out", "json"
+        capsys, "verify", "--suite", "structural", "--nodes", "3", "--out", "json"
     )
     assert code == 0
-    reports = json.loads(out)
-    assert len(reports) == 3
-    for rep in reports:
-        assert [c["status"] for c in rep["checks"]] == ["SKIP"]
-        assert rep["checks"][0]["note"] == "budget exhausted: skein node budget exhausted"
+    first, *rest = json.loads(out)
+    assert first["checks"] == [
+        {
+            "id": "mirror-identity-failures",
+            "expected": "",
+            "got": "",
+            "status": "SKIP",
+            "note": "budget exhausted: skein node budget exhausted",
+        }
+    ]
+    assert [[c["status"] for c in rep["checks"]] for rep in rest] == [["PASS"], ["PASS"]]
 
 
 @pytest.mark.parametrize("suite, count", [("main", 4), ("borromean", 1), ("family", 30)])
@@ -465,19 +487,21 @@ def test_budget_skip_ends_each_computing_report(capsys, suite, count):
         ]
 
 
-def test_props_budget_skip_keeps_the_checks_before_it(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "props", "--nodes", "23", "--out", "json")
+def test_props_budget_bounds_each_evaluation(capsys):
+    # The degree-shift report makes 18 homfly() calls on one engine.  The
+    # first expands 18 nodes and each later one at most 1, 32 in all.  So
+    # 17 nodes SKIP the report at its first call, and 18 pass all of it.
+    code, out, _ = run(capsys, "verify", "--suite", "props", "--nodes", "17", "--out", "json")
+    assert code == 0
+    rep, *rest = json.loads(out)
+    assert rep["input"] == "degree-shift-identities(trefoil, m=0..5)"
+    assert [(c["id"], c["status"]) for c in rep["checks"]] == [("computation", "SKIP")]
+    assert rest and all(c["status"] == "PASS" for r in rest for c in r["checks"])
+    code, out, _ = run(capsys, "verify", "--suite", "props", "--nodes", "18", "--out", "json")
     assert code == 0
     rep = json.loads(out)[0]
-    assert rep["input"] == "degree-shift-identities(trefoil, m=0..5)"
-    assert [(c["id"].split("[")[0], c["status"]) for c in rep["checks"]] == [
-        ("double-degree-is-whitehead-minus-1", "PASS"),
-        ("double-degree-is-whitehead-minus-1", "PASS"),
-        ("double-degree-is-whitehead-minus-1", "PASS"),
-        ("double-degree-is-whitehead-minus-1", "PASS"),
-        ("double-degree-is-whitehead-minus-1", "PASS"),
-        ("computation", "SKIP"),
-    ]
+    assert len(rep["checks"]) == 18
+    assert all(c["status"] == "PASS" for c in rep["checks"])
 
 
 def test_aborted_computation_reports_no_polynomial(capsys):

@@ -160,6 +160,19 @@ def test_node_budget_aborts_cleanly():
     assert err.args[0] == "skein node budget exhausted"
 
 
+def test_node_budget_bounds_each_homfly_call():
+    # Like the wall budget, the node budget bounds one homfly() call: a
+    # second call on the same engine has the whole budget again, and its
+    # error counts its own nodes.  The engine's node counter keeps counting.
+    e = SkeinEngine(node_budget=500)
+    e.homfly(blackboard_double(quasitoric_closure(2, 1)))
+    assert e.counters()["nodes"] == 390
+    with pytest.raises(BudgetExceededError) as info:
+        e.homfly(blackboard_double(quasitoric_closure(3, 1)))
+    assert info.value.nodes == 501
+    assert e.counters()["nodes"] == 891
+
+
 def test_wall_budget_aborts_cleanly():
     slow = SkeinEngine(wall_seconds=0.0)
     d = blackboard_double(quasitoric_closure(2, 1))
@@ -313,8 +326,8 @@ def test_memo_dag_of_doubled_borromean_rings_is_pinned(monkeypatch):
     # A cold engine expands one node per distinct simplified piece, so the
     # node count pins the memo DAG: the simplifier's move order and arc
     # labels (hence the skein basepoints), where each switch chain ends,
-    # and the canonical code fix it.  The memo hits count the child edges
-    # that point at a finished node, and the key digest pins the codes a
+    # and the canonical code fix it.  The memo hits count the stack pops
+    # whose code is already memoized, and the key digest pins the codes a
     # disk cache is keyed by.  The smoothings and the two kinds of chain
     # end pin which crossing each chain switches first and where it ends:
     # chains run in traversal order to their descending ends smooth 3,077
@@ -338,8 +351,8 @@ def test_memo_dag_of_doubled_borromean_rings_is_pinned(monkeypatch):
 
         monkeypatch.setattr(cls, name, counting)
     pins = (
-        (1, 390, 343, 488, 307, 34, 675, "2092c58b20e7aa049414caada3b925faedf1029e9ea7ca0cba6a5fa0f06cb821"),
-        (-1, 427, 382, 544, 340, 53, 726, "17af9ceea3c9d575796130833126d8260c5edfba512f18d1340401e5abe8d68c"),
+        (1, 390, 346, 488, 307, 34, 675, "2092c58b20e7aa049414caada3b925faedf1029e9ea7ca0cba6a5fa0f06cb821"),
+        (-1, 427, 386, 544, 340, 53, 726, "17af9ceea3c9d575796130833126d8260c5edfba512f18d1340401e5abe8d68c"),
     )
     for top_sign, nodes, hits, smoothed, reduced, lifted, searches, digest in pins:
         calls.clear()
@@ -364,7 +377,7 @@ def test_memo_dag_of_mirrored_figure_eight_whitehead_doubles_is_pinned():
     for m in range(w - 2, w + 3):
         for clasp in (1, -1):
             e.homfly(canonical_whitehead(companion, m, clasp))
-    assert (e.counters()["nodes"], e.counters()["memo_hits"]) == (112, 88)
+    assert (e.counters()["nodes"], e.counters()["memo_hits"]) == (112, 90)
     assert memo_key_digest(e) == "83f58df11b70f3339b75d56daad3acc76fc94b5bc7b169a2a49bd9199be39dab"
 
 
@@ -472,8 +485,10 @@ def test_trusted_diagrams_equal_validated_ones(monkeypatch):
         return d
 
     monkeypatch.setattr(LinkDiagram, "_trusted", classmethod(recording))
-    SkeinEngine().homfly(blackboard_double(quasitoric_closure(2, 1)))
-    assert len(built) > 819
+    e = SkeinEngine()
+    e.homfly(blackboard_double(quasitoric_closure(2, 1)))
+    # each expanded node builds one diagram per chain term, and has a term
+    assert len(built) >= e.counters()["nodes"] > 0
     for d in built:
         assert all(type(c) is Crossing for c in d.crossings)
         ref = LinkDiagram(d.crossings, d.free_loops)
