@@ -26,32 +26,30 @@ plain 5-tuples with tombstones, and arc -> port maps) merges arcs in place,
 so a chain of Reidemeister moves costs what the moves touch, not a rebuild
 per move.  A working form is built from a ``LinkDiagram``: it copies the
 diagram's head map and builds only the tail map.  The skein engine keeps
-one working form per node.  It first switches each bad crossing and back,
-to find one whose switch leaves a bigon, and puts it at the head of the
-chain.  Then it switches crossings in place and smooths and reduces each
-bad crossing on a copy (``_WorkingDiagram.reduced(x)``), until a switch
-leaves a bigon and a reduced copy ends the chain (``reduced()``), or until
-the first component lies on top of the rest and a reduced copy without
-its crossings ends it (``lifted(arcs)``).  The form also holds its kinks
-and bigons, which each switch updates, so they are carried along the
-node's switch chain and each copy's Reidemeister pass starts from them.
-A switch made twice restores the crossing, its ports and both sets.  A
-copy returns its exact crossing tuple, which the engine makes a
-``LinkDiagram``; ``Crossing`` values are built only then, for the
-crossings that moves rebuilt.
+one working form per node (its switch chain: the ``skein`` module
+docstring).  It switches crossings in place and smooths and reduces on a
+copy: ``reduced(x)`` smooths crossing x, ``reduced()`` reduces the form as
+it is, and ``lifted(arcs)`` deletes one component's crossings first.  The
+form also holds its kinks and bigons, which each switch updates, so they
+are carried along the node's switch chain and each copy's Reidemeister
+pass starts from them.  A switch made twice restores the crossing, its
+ports and both sets.  A copy returns its exact crossing tuple, which the
+engine makes a ``LinkDiagram``; ``Crossing`` values are built only then,
+for the crossings that moves rebuilt.
 
 ``LinkDiagram(...)`` validates its input.  A diagram that the core derives
 from a valid one (a smoothing, a switch, a lift, a mirror, a ``simplify``
 result, a ``split_pieces`` piece) or builds planar by construction (a braid
 closure, the satellite doubles) is built by ``LinkDiagram._trusted``,
 which only builds the head map and makes each plain 5-tuple a
-``Crossing``.  Its precondition is that the crossings are 5-tuples in
-``Crossing`` field order with signs +1 or -1, that every arc is the head of
-exactly one port and the tail of exactly one port, and that the diagram is
-planar; the moves keep that (switching keeps each arc's ends and the
-embedding, a lift erases one closed curve from the drawing, and a splice
-joins each strand's run through the deleted crossings into one arc with
-one head and one tail, or closes it into a loop).
+``Crossing`` (a closure builds both as it goes, for ``_assembled``).  Its
+precondition is that the crossings are 5-tuples in ``Crossing`` field
+order with signs +1 or -1, that every arc is the head of exactly one port
+and the tail of exactly one port, and that the diagram is planar; the
+moves keep that (switching keeps each arc's ends and the embedding, a lift
+erases one closed curve from the drawing, and a splice joins each strand's
+run through the deleted crossings into one arc with one head and one tail,
+or closes it into a loop).
 """
 
 from __future__ import annotations
@@ -159,13 +157,12 @@ class _WorkingDiagram:
             del head[over_in], head[under_in], tail[over_out], tail[under_out]
         touched = list(dead)
         for a in [a for a in runs if a in tail]:
-            chain = [a]
             b = runs.pop(a)
+            root = a if a < b else b  # the least id on the chain so far
             while b in runs:
-                chain.append(b)
                 b = runs.pop(b)
-            chain.append(b)
-            root = min(chain)
+                if b < root:
+                    root = b
             ci, role = head[root] = head.pop(b)
             over_in, over_out, under_in, under_out, sign = cs[ci]
             if role == OVER and over_in != root:
@@ -398,12 +395,17 @@ class LinkDiagram:
         (precondition in the module docstring).  Each plain 5-tuple among
         the crossings becomes a ``Crossing`` here, the one place a working
         form's crossings leave."""
-        d = object.__new__(cls)
         crossings = tuple([c if type(c) is Crossing else _as_crossing(Crossing, c) for c in crossings])
         head = {}
         for ci, (over_in, _, under_in, _, _) in enumerate(crossings):
             head[over_in] = (ci, OVER)
             head[under_in] = (ci, UNDER)
+        return cls._assembled(crossings, head, free_loops)
+
+    @classmethod
+    def _assembled(cls, crossings: tuple, head: dict, free_loops: int) -> "LinkDiagram":
+        """The diagram of ``Crossing`` values and their head map, unchecked."""
+        d = object.__new__(cls)
         d.crossings = crossings
         d.free_loops = free_loops
         d._head = head
@@ -452,6 +454,7 @@ class LinkDiagram:
         Returns (orbits, arc -> index of its orbit)."""
         head = self._head
         crossings = self.crossings
+        slots = (over_slot, under_slot)  # by role: OVER 0, UNDER 1
         index = {}
         orbits = []
         for a in sorted(head):
@@ -463,7 +466,7 @@ class LinkDiagram:
                     index[x] = k
                     orbit.append(x)
                     ci, role = head[x]
-                    x = crossings[ci][over_slot if role == OVER else under_slot]
+                    x = crossings[ci][slots[role]]
                 orbits.append(tuple(orbit))
         return tuple(orbits), index
 
@@ -771,6 +774,7 @@ def from_braid_closure(b: BraidWord) -> LinkDiagram:
         last[abs(k) - 1] = last[abs(k)] = i
     current = list(range(n))
     crossings = []
+    head = {}
     fresh = n
     for i, k in enumerate(b.letters):
         p = abs(k) - 1
@@ -779,8 +783,10 @@ def from_braid_closure(b: BraidWord) -> LinkDiagram:
         new_right = p + 1 if last[p + 1] == i else fresh + 1
         fresh += 2
         if k > 0:
-            crossings.append(Crossing(left, new_right, right, new_left, 1))
+            c = (left, new_right, right, new_left, 1)
         else:
-            crossings.append(Crossing(right, new_left, left, new_right, -1))
+            c = (right, new_left, left, new_right, -1)
+        crossings.append(_as_crossing(Crossing, c))
+        head[c[0]], head[c[2]] = (i, OVER), (i, UNDER)
         current[p], current[p + 1] = new_left, new_right
-    return LinkDiagram._trusted(crossings, n - len(last))
+    return LinkDiagram._assembled(tuple(crossings), head, n - len(last))

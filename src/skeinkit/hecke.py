@@ -28,10 +28,12 @@ trace is taken for the whole vector, one strand at a time.  Elements that
 fix the top strand drop it and take the factor delta.  One whose top strand
 ends at j < top is T_u g_{top-1} ... g_j with u fixing the top strand; Markov
 removes g_{top-1}, and as tr(T_u X) = tr(X T_u) the groups j = 0, 1, ... are
-left-multiplied into one vector by Horner's rule.  No state is kept between
-calls.  Letters never rewrite keys: s_j swaps two entries of ``pos``
-(position -> byte index) in the expansion, g_i two entries of ``lab``
-(strand -> byte value) in a trace level.
+left-multiplied into one vector by Horner's rule.  Letters never rewrite
+keys: s_j swaps two entries of ``pos`` (position -> byte index) in the
+expansion, and in a trace level the accumulator keeps each strand under a
+label (a byte value) that g_i swaps with its neighbour's.  Step i of a
+level always swaps the labels 0 and i + 1, so the labels after each step
+depend only on the level and the step.
 
 Coefficient form.  Every term of the coefficient of T_w has v-degree
 e - l(w), with e the exponent sum of the letters read and l(w) the length of
@@ -42,7 +44,15 @@ factor delta = v^-1 z^-1 (1 - v^2), v^-1 z^-1 is taken out of each level
 (the other elements are shifted by z instead), and powers of v^2 take slots
 of S * width bits.  A coefficient of the result sums at most
 2^(letters + 1 + (n-1)(n-2)/2) signed paths, so S >= letters + 3 +
-(n-1)(n-2)/2 (rounded up to whole bytes) decodes it exactly.
+(n-1)(n-2)/2 (rounded up to whole bytes) decodes it exactly.  The decode
+shifts x down from slot to slot, jumping over runs of zero slots by the
+lowest set bit, and reads each slot as a signed S-bit digit.
+
+Tables built at import, all constants: ``_SWAP``, the byte swaps of the
+expansion and the Horner steps, and ``_INTO`` and ``_BACK``, for each
+level the translations from strands to the labels after each step and
+from the final labels back (45 tables for ``MAX_STRANDS`` = 10).  No state
+is kept between calls, and nothing is cached.
 
 The basis has n! elements; an input above ``MAX_STRANDS`` (10) strands
 raises ``BudgetExceededError``, a budget SKIP in a report, rather than
@@ -64,6 +74,19 @@ MAX_STRANDS = 10
 # _SWAP[a][b] exchanges the byte values a and b.
 _SWAP = [[bytes.maketrans(bytes((a, b)), bytes((b, a))) for b in range(MAX_STRANDS)]
          for a in range(MAX_STRANDS)]
+
+
+def _label(top: int, i: int) -> bytes:
+    """The labels of strands 0, ..., top - 1 after Horner step i of the
+    level that peels strand ``top``: 1, ..., i + 1, 0, i + 2, ..., top - 1."""
+    return bytes((*range(1, i + 2), 0, *range(i + 2, top)))
+
+
+# _INTO[top][i] relabels group i + 1 as the accumulator is labelled after
+# step i; _BACK[top] takes the labels after the last step back to strands.
+_INTO = {top: [bytes.maketrans(bytes(range(top)), _label(top, i)) for i in range(top - 1)]
+         for top in range(1, MAX_STRANDS)}
+_BACK = {top: bytes.maketrans(_label(top, top - 2), bytes(range(top))) for top in range(1, MAX_STRANDS)}
 
 
 def _add(vec: dict, items: list) -> None:
@@ -100,18 +123,16 @@ def _expand(b: BraidWord, shift: int) -> dict:
 def _peel(vec: dict, top: int, shift: int, ushift: int) -> dict:
     """Trace out strand ``top``, times v z: a vector on one strand fewer."""
     parts = [{} for _ in range(top + 1)]
+    strand = bytes((top,))
     for q, t in vec.items():
-        j = q.index(top)
-        parts[j][q[:j] + q[j + 1:]] = t
-    acc, lab = parts[0], list(range(top))
-    for i in range(top - 1):  # acc = g_i acc + parts[i + 1]
-        a, c = lab[i], lab[i + 1]
-        lab[i], lab[i + 1] = c, a
-        _add(acc, [(q.translate(_SWAP[a][c]), t << shift)
-                   for q, t in acc.items() if q.index(a) > q.index(c)])
-        into = bytes.maketrans(bytes(range(top)), bytes(lab))
-        _add(acc, [(q.translate(into), t) for q, t in parts[i + 1].items()])
-    back = bytes.maketrans(bytes(lab), bytes(range(top)))
+        parts[q.index(top)][q.translate(None, strand)] = t
+    acc, into = parts[0], _INTO[top]
+    for i in range(top - 1):  # acc = g_i acc + parts[i + 1]: labels 0 and i + 1 swap
+        c = i + 1
+        swap, label = _SWAP[0][c], into[i]
+        _add(acc, [(q.translate(swap), t << shift) for q, t in acc.items() if q.index(0) > q.index(c)]
+             + [(q.translate(label), t) for q, t in parts[c].items()])
+    back = _BACK[top]
     out = {q.translate(back): t << shift for q, t in acc.items()}
     _add(out, [(q, t - (t << ushift)) for q, t in parts[top].items()])
     return out
@@ -130,20 +151,25 @@ def homfly_closed_braid(b: BraidWord) -> LaurentPoly2:
             f"{n} strands would need a {n}!-element basis (ceiling is {MAX_STRANDS})"
         )
     m = len(b.letters)
-    size = -(-(m + (n - 1) * (n - 2) // 2 + 3) // 8)  # bytes per slot
+    bits = 8 * -(-(m + (n - 1) * (n - 2) // 2 + 3) // 8)  # bits per slot
     width = m + n * (n - 1) // 2 + 1  # z-slots per power of v^2
-    vec = _expand(b, 8 * size)
+    vec = _expand(b, bits)
     for top in range(n - 1, 0, -1):
-        vec = _peel(vec, top, 8 * size, 8 * size * width)
+        vec = _peel(vec, top, bits, bits * width)
     x = sum(vec.values())
-    slots = x.bit_length() // (8 * size) + 1
-    zero = bytes(size - 1) + b"\x80"  # a slot holding 0, biased by half its range
-    data = (x + int.from_bytes(zero * slots, "little")).to_bytes(size * slots, "little")
-    ev, ez, half = b.exponent_sum() - (n - 1), -(n - 1), 1 << (8 * size - 1)
+    mask, full = (1 << bits) - 1, 1 << bits
+    ev, ez, half = b.exponent_sum() - (n - 1), -(n - 1), full >> 1
     terms = {}
-    for i in range(slots):
-        chunk = data[i * size:(i + 1) * size]
-        if chunk != zero:
-            u, a = divmod(i, width)
-            terms[(ev + 2 * u, ez + a)] = int.from_bytes(chunk, "little") - half
-    return LaurentPoly2(terms)
+    i = 0  # the slot at the bottom of x
+    while x:
+        zeros = ((x & -x).bit_length() - 1) // bits  # zero slots below the next term
+        x >>= zeros * bits
+        i += zeros
+        t = x & mask
+        if t >= half:
+            t -= full
+        x = (x - t) >> bits
+        u, a = divmod(i, width)
+        terms[(ev + 2 * u, ez + a)] = t
+        i += 1
+    return LaurentPoly2._raw(terms)  # normalized: one nonzero term per key, |exponents| < m + n^2

@@ -338,17 +338,20 @@ def _self_check(d: LinkDiagram, p: LaurentPoly2) -> None:
     """The Morton-bound and exponent-parity guard on every value homfly() returns.
 
     It is the only such guard: reports do not repeat it.  A violation means
-    an engine bug or a wrong disk-cache entry.
+    an engine bug or a wrong disk-cache entry.  Both facts come from one
+    walk of d's Seifert circles: the exponents must have the parity of
+    mu - 1, and that is the parity of the bound c - s + 1, as the Seifert
+    step is the strand step followed by one transposition per crossing (of
+    its two out-arcs), so s = mu + c (mod 2).
     """
     bound = d.morton_bound()
-    components = d.component_count()
     if p.is_zero:
         raise SelfCheckError("engine produced the zero polynomial")
     if p.max_z_degree() > bound:
         raise SelfCheckError(f"Morton bound violated: max_z {p.max_z_degree()} > {bound}")
-    want = (components - 1) % 2
+    want = bound % 2
     for ev, ez in p.terms():
         if ev % 2 != want or ez % 2 != want:
             raise SelfCheckError(
-                f"exponent parity violated at v^{ev} z^{ez} with {components} components"
+                f"exponent parity violated at v^{ev} z^{ez} with {d.component_count()} components"
             )

@@ -1,3 +1,4 @@
+import itertools
 import struct
 from fractions import Fraction
 
@@ -140,6 +141,8 @@ def test_morton_bound_is_c_minus_s_plus_1():
     for d in samples:
         bound = d.crossing_count() - d.seifert_circle_count() + 1
         assert d.morton_bound() == d.stats().morton_bound == bound
+        # the skein engine's parity guard reads mu - 1 off the bound's parity
+        assert bound % 2 == (d.component_count() - 1) % 2
 
 
 def test_mirror_stats():
@@ -846,6 +849,22 @@ def test_closure_matches_relabel_oracle_on_exhaustive_words():
 @settings(max_examples=300, deadline=None)
 def test_closure_matches_relabel_oracle(b):
     assert from_braid_closure(b) == oracle_closure(b)
+
+
+def test_closure_matches_the_checking_constructor():
+    # a closure skips every check: the checking constructor must build the
+    # same diagram from its crossings, with the same head map and components
+    for n in range(1, 5):
+        gens = [g for k in range(1, n) for g in (k, -k)]
+        for length in range(5):
+            for letters in itertools.product(gens, repeat=length):
+                d = from_braid_closure(BraidWord(n, letters))
+                checked = LinkDiagram(d.crossings, d.free_loops)
+                assert all(type(c) is Crossing for c in d.crossings), letters
+                assert checked.crossings == d.crossings and checked.free_loops == d.free_loops
+                assert checked._head == d._head, letters
+                assert checked._components() == d._components(), letters
+                assert d.morton_bound() % 2 == (d.component_count() - 1) % 2, letters
 
 
 # -- planarity of the PD text form -------------------------------------------

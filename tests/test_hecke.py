@@ -114,6 +114,17 @@ def test_vector_trace_matches_per_element_oracle(b):
     assert homfly_closed_braid(b) == oracle_homfly_closed_braid(b)
 
 
+def test_short_words_match_per_element_oracle():
+    # every word of length <= 5 on <= 3 strands, the words the exhaustive
+    # agreement report runs, where the 200 sampled words above may miss one
+    for n in (1, 2, 3):
+        gens = [g for k in range(1, n) for g in (k, -k)]
+        for length in range(6):
+            for letters in itertools.product(gens, repeat=length):
+                b = BraidWord(n, letters)
+                assert homfly_closed_braid(b) == oracle_homfly_closed_braid(b), b
+
+
 def test_oracle_reproduces_known_values():
     # the oracle itself, on values pinned independently of both traces
     assert oracle_homfly_closed_braid(BraidWord(3, ())) == delta_power(2)
@@ -221,6 +232,18 @@ def test_torus_knots_match_skein(eng):
         assert homfly_closed_braid(b) == eng.homfly(from_braid_closure(b))
     b = toric(3, 4)
     assert homfly_closed_braid(b) == eng.homfly(from_braid_closure(b))
+
+
+def test_calibration_at_every_strand_count():
+    # exercises the tables built at import up to the ceiling: n free strands
+    # are delta^(n-1), and sigma_1 ... sigma_(n-1) and its inverse are unknots
+    for n in range(1, hecke.MAX_STRANDS + 1):
+        up = tuple(range(1, n))
+        assert homfly_closed_braid(BraidWord(n, ())) == delta_power(n - 1), n
+        assert homfly_closed_braid(BraidWord(n, up)) == 1, n
+        assert homfly_closed_braid(BraidWord(n, tuple(-k for k in reversed(up)))) == 1, n
+    with pytest.raises(BudgetExceededError):
+        homfly_closed_braid(BraidWord(hecke.MAX_STRANDS + 1, ()))
 
 
 def test_strand_ceiling():
