@@ -625,8 +625,8 @@ class LinkDiagram:
         """Relabeling-invariant serialization; the memo and cache key.
 
         Defined for a crossing-connected diagram, the only kind the skein
-        engine codes (its pieces come from ``split_pieces``); a diagram with
-        no crossings, or split, raises ``DiagramError``.
+        engine codes; a diagram with no crossings, or split, raises
+        ``DiagramError`` (``_connected_code`` returns None for a split one).
 
         Minimal lexicographic token stream over all traversal starts:
         components are walked in every admissible order, crossings labeled
@@ -644,6 +644,15 @@ class LinkDiagram:
         it).  A walk stops once greater than the least so far or, while the
         stream is level with the best one, than that stream.
         """
+        code = self._connected_code()
+        if code is None:
+            raise DiagramError("a split diagram has no canonical code")
+        return code
+
+    def _connected_code(self):
+        """``canonical_code``, or None if the diagram is split: the first
+        completion then finds no forced start.  The skein engine searches
+        a whole chain result with it and splits only what it finds split."""
         crossings = self.crossings
         if len(crossings) >= CODE_CROSSING_LIMIT:
             raise DiagramError("diagram too large to encode")
@@ -677,6 +686,8 @@ class LinkDiagram:
         for k, labels in ties:
             todo = set(range(len(comps))) - {k}
             best = _complete(crossings, step, owner, labels, todo, list(lowest), best)
+            if best is None:
+                return None
         header = struct.pack(">III", self.free_loops, len(crossings), len(best))
         return header + struct.pack(f">{len(best)}H", *best)
 
@@ -738,7 +749,9 @@ def _walk(step, labels, start, bound):
 def _complete(crossings, step, owner, labels, todo, stream, best):
     """The least of ``best`` and the ``canonical_code`` stream that extends
     ``stream`` by forced walks, where ``stream``'s walks gave ``labels`` and
-    left the components ``todo`` (all three change in place)."""
+    left the components ``todo`` (all three change in place); None if the
+    diagram is split, which the first completion finds: with no ``best``
+    it never stops early."""
     tight = best is not None and stream == best[: len(stream)]
     j = 0  # no crossing labeled before j has a pass in todo
     while todo:
@@ -749,7 +762,7 @@ def _complete(crossings, step, owner, labels, todo, stream, best):
                 break
             j += 1
         else:
-            raise DiagramError("a split diagram has no canonical code")
+            return None
         todo.remove(owner[start])
         tokens = _walk(step, labels, start, best[len(stream) :] if tight else None)
         if tokens is None:

@@ -7,8 +7,9 @@ ints, not with this arithmetic).  Both are immutable and hashable and share
 one sparse core: a dict mapping exponent keys to nonzero int coefficients,
 where a key is an int for one variable and a pair (e_v, e_z) for two.  The
 zero polynomial stores no terms, and two polynomials are equal iff their
-term dicts are equal.  The operations are ``+``, ``*`` and ``**``; there is
-no division, subtraction or negation.
+term dicts are equal.  The operations are ``+``, ``*`` and ``**``, and for
+``LaurentPoly2`` a sum of products in one pass (``sum_of_products``, the
+value of a skein node); there is no division, subtraction or negation.
 Polynomials of the two types never mix: adding or multiplying one with the
 other raises ``TypeError``; ints mix with both in ``+``, ``*`` and ``==``.
 
@@ -223,6 +224,19 @@ class LaurentPoly2(_SparseLaurent):
         return self._raw(data)
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def sum_of_products(pairs) -> "LaurentPoly2":
+        """sum(a * b for a, b in pairs), built in one term dict: no product
+        or partial sum is made.  Cheapest when each ``a`` is a monomial."""
+        data = {}
+        get = data.get
+        for a, b in pairs:
+            for (av, az), ac in a._terms.items():
+                for (bv, bz), bc in b._terms.items():
+                    key = (av + bv, az + bz)
+                    data[key] = get(key, 0) + ac * bc
+        return LaurentPoly2._raw({key: c for key, c in data.items() if c})
 
     # -- degree queries -----------------------------------------------
 

@@ -81,18 +81,22 @@ memo can persist to a disk cache between runs (line format: ``code-hex TAB
 canonical-polynomial-text``).  The same labelled piece recurs among the
 children of different nodes, so the engine also keeps a table from a piece's
 exact crossing tuple (never a hash of it) to its canonical code.  Each
-result asks it once, for the whole diagram, before it is split and its
-pieces searched.  The table is cleared whenever it reaches
-``_CODE_TABLE_CAP`` entries, which bounds its memory; a miss only costs
-the search again.
+result asks it once, for the whole diagram.  On a miss the whole diagram is
+searched, and the search, whose forced walks fail on a split diagram, also
+tells whether it is one piece.  Split results are rare (none in a
+satellite-cold pass of the benchmark, 27 of about 36,000 results at r = 3):
+only they go to ``split_pieces``, and each piece is searched in turn.  The
+table is cleared whenever it reaches ``_CODE_TABLE_CAP`` entries, which
+bounds its memory; a miss only costs the search again.
 
-``load_cache`` accepts only the lines ``save_cache`` writes, and any other
-line raises ``CacheCorruptionError`` with its line number.  A run reads few
-of the entries it loads, so an entry stays text in the memo until
-``SkeinEngine.value`` first reads and parses it, and a save writes an entry
-never read back as the text it was read as.  A check on each cache entry
-(the Morton bound and parity of its decoded diagram) belongs in ``value``,
-where the entry is first read.
+``load_cache`` accepts only the lines ``save_cache`` writes, each ended by
+its newline, and any other line (a blank one, one with surrounding space, a
+last line cut short) raises ``CacheCorruptionError`` with its line number.
+A run reads few of the entries it loads, so an entry stays text in the memo
+until ``SkeinEngine.value`` first reads and parses it, and a save writes an
+entry never read back as the text it was read as.  A check on each cache
+entry (the Morton bound and parity of its decoded diagram) belongs in
+``value``, where the entry is first read.
 
 Each ``homfly()`` call resolves its pieces in one loop on an explicit
 stack, so deep skein trees cannot overflow the interpreter stack.  An
@@ -118,7 +122,7 @@ import time
 
 from .diagram import LinkDiagram, _WorkingDiagram
 from .errors import BudgetExceededError, CacheCorruptionError, DiagramError, SelfCheckError
-from .laurent import TEXT_PATTERN, ZERO, LaurentPoly2, delta_power
+from .laurent import TEXT_PATTERN, LaurentPoly2, delta_power
 
 __all__ = ["SkeinEngine"]
 
@@ -130,10 +134,12 @@ __all__ = ["SkeinEngine"]
 _monomial = functools.lru_cache(maxsize=None)(LaurentPoly2.monomial)
 
 # Entries in the crossings -> canonical code table before it is cleared.  A
-# satellite-cold pass of the benchmark meets about 1,200 distinct labelled
-# pieces; 1,024 entries keep 98% of its repeat lookups (255 of 261, seed 7).
-# The clear frees about 1k crossing tuples, about 0.3 ms, inside whichever
-# item fills the table.
+# satellite-cold pass of the benchmark (seed 7) makes 1,069 code searches
+# and 140 table hits; with no cap it would make 1,066 and 143.  The
+# exhaustive engine-agreement report of ``verify --suite all`` makes 1,181
+# searches on a cold engine, against 1,098 with no cap: about 1 ms.  The
+# clear frees about 1k crossing tuples, about 0.3 ms, inside whichever item
+# fills the table.
 _CODE_TABLE_CAP = 1024
 
 # A cache line as ``save_cache`` writes it, once its hex is of even length:
@@ -164,10 +170,8 @@ class SkeinEngine:
         # A byte that is not ASCII decodes to U+FFFD, which no field accepts.
         with open(path, "r", encoding="ascii", errors="replace") as fh:
             for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                m = _LINE.fullmatch(line)
+                # Only the final newline is cut: a line without one was cut short.
+                m = line[-1:] == "\n" and _LINE.fullmatch(line, 0, len(line) - 1)
                 if not m or len(m[1]) % 2:
                     raise CacheCorruptionError(f"{path}: bad cache line {lineno}: {line!r}")
                 code, text = bytes.fromhex(m[1]), m[2]
@@ -247,7 +251,7 @@ class SkeinEngine:
         while stack:
             code, piece, terms = stack.pop()
             if terms is not None:
-                memo[code] = sum((coeff * self._product(e, ps) for coeff, e, ps in terms), ZERO)
+                memo[code] = LaurentPoly2.sum_of_products((c, self._product(e, ps)) for c, e, ps in terms)
                 continue
             if code in memo:
                 self.memo_hits += 1
@@ -315,23 +319,24 @@ def _decompose(d: LinkDiagram, removed: int, codes: dict):
     Returns (exponent, [(code, piece)]), each piece a ``LinkDiagram``.
     ``codes`` is the engine's crossings -> canonical code table, asked once,
     for d's crossings: it holds only pieces, so on a hit d is its one piece.
-    On a miss each piece of d is searched: a one-piece d would miss again,
-    and the pieces of a split d almost never hit.  An empty d has no pieces.
-    The pieces keep the ``split_pieces`` order, first crossing first; it
-    decides which labelled copy of a repeated code is expanded, and so the
-    node counts (module docstring).
+    On a miss d is searched whole, and a d that is one piece is coded by
+    that search.  Only a d that the search finds split is split, and each
+    of its pieces searched: they almost never hit the table.  An empty d
+    has no pieces.  The pieces keep the ``split_pieces`` order, first
+    crossing first; it decides which labelled copy of a repeated code is
+    expanded, and so the node counts (module docstring).
     """
     code = codes.get(d.crossings)
     if code is not None:
         return removed, [(code, d)]
-    pieces = d.split_pieces()
+    whole = d._connected_code() if d.crossings else None
     coded = []
-    for p in pieces:
+    for p in [d] if whole else d.split_pieces():
         if len(codes) >= _CODE_TABLE_CAP:
             codes.clear()
-        code = codes[p.crossings] = p.canonical_code()
+        code = codes[p.crossings] = whole or p.canonical_code()
         coded.append((code, p))
-    return removed + len(pieces) - 1, coded
+    return removed + len(coded) - 1, coded
 
 
 def _self_check(d: LinkDiagram, p: LaurentPoly2) -> None:

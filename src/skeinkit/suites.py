@@ -319,13 +319,12 @@ def suite_structural(cfg: SuiteConfig) -> list:
     label = "engine-agreement-mismatches"
     name = "engine-agreement(exhaustive, length<=6, strands<=3)"
     with _report(reports, name, "skein+hecke", label) as rep:
-        total = mismatches = 0
-        for b in _exhaustive_words():
-            p = cfg.engine.homfly(from_braid_closure(b))
-            total += 1
-            if homfly_closed_braid(b) != p:
-                mismatches += 1
-        rep.check(label, 0, mismatches, f"{total} words compared")
+        # One engine at a time over the words, keeping only the skein values
+        # (not the closures): measured faster than alternating the engines
+        # word by word, for a cause not established.
+        skein = [cfg.engine.homfly(from_braid_closure(b)) for b in _exhaustive_words()]
+        mismatches = sum(homfly_closed_braid(b) != p for b, p in zip(_exhaustive_words(), skein))
+        rep.check(label, 0, mismatches, f"{len(skein)} words compared")
 
     label = "markov-invariance-failures"
     with _report(reports, "markov-invariance(50 random samples)", "skein", label) as rep:

@@ -532,7 +532,6 @@ def test_cache_compact_writes_canonical_text(tmp_path, capsys):
         "0b\t1*v^2*z^2 + 2*v^2*z^0 + -1*v^4*z^0\n"  # terms out of order
         "0a\t2*v^2*z^0 + -1*v^4*z^0 + 1*v^2*z^2\n"
         "0c\t1*v^0*z^0 + 1*v^1*z^1 + -1*v^1*z^1\n"  # cancelling terms
-        "\n"
         "0a\t1*v^2*z^2 + -1*v^4*z^0 + 2*v^2*z^0\n"  # a duplicate key
         "0d\t1*v^999999999*z^0\n"  # a 9-digit exponent
         "0e\t-1*v^-1*z^1\n"
@@ -553,8 +552,26 @@ def test_cache_compact_writes_canonical_text(tmp_path, capsys):
     cache.write_text(padded)
     code, out, err = run(capsys, "cache", "compact", "--cache", str(cache))
     assert (code, out) == (1, "")
-    assert err.startswith("error: ") and "bad cache line 7: " in err
+    assert err.startswith("error: ") and "bad cache line 6: " in err
     assert cache.read_text() == padded
+
+
+def test_truncated_cache_exits_1(tmp_path, capsys):
+    # The trefoil's cache with its last line cut after its second term still
+    # holds lines in the saved grammar, but the cut line has no newline.
+    cache = tmp_path / "c.cache"
+    argv = ("homfly", "--braid", "2: 1 1 1", "--cache", str(cache))
+    status, out, _ = run(capsys, *argv)
+    assert status == 0
+    text = cache.read_text()
+    last = text.splitlines()[-1]
+    assert last.count(" + ") >= 2
+    cut = text[: len(text) - len(last) - 1] + " + ".join(last.split(" + ")[:2])
+    cache.write_text(cut)
+    status, out, err = run(capsys, *argv)
+    assert (status, out) == (1, "")
+    assert err.startswith("error: ") and f"bad cache line {text.count(chr(10))}: " in err
+    assert cache.read_text() == cut
 
 
 def test_cache_commands_refuse_a_missing_file(tmp_path, capsys):

@@ -4,9 +4,10 @@ package, every public one is read outside the tests, the three engines
 import none of each other, the package has no ``assert`` statement, only
 ``suites._report`` catches a budget error, every error class is raised,
 directly or through a subclass, only ``laurent.py`` spells the
-polynomial text grammar, and every module parses as the oldest Python that
-``pyproject.toml`` admits.  The public functions that only the tests or only
-the benchmark's hooks read are listed, each with a reason."""
+polynomial text grammar or reads a polynomial's term dict, and every
+module parses as the oldest Python that ``pyproject.toml`` admits.  The
+public functions that only the tests or only the benchmark's hooks read
+are listed, each with a reason."""
 
 import ast
 from pathlib import Path
@@ -419,6 +420,23 @@ def test_only_diagram_reads_the_working_form():
     assert "cs" in fields
     found = field_reads(package, fields)
     assert not found, "working-form fields read outside diagram.py:\n" + "\n".join(found)
+
+
+# A polynomial's term dict is private to ``laurent.py``: other modules go
+# through its operations and ``terms()``, so they never see a dict that the
+# polynomial still owns.
+
+
+def test_polynomial_term_reads_are_caught():
+    tree = ast.parse("p._terms.items()\nterms = p.terms()\nq._terms = {}\n_terms = 1\n")
+    assert field_reads({"a": tree}, ("_terms",)) == ["a:1: ._terms", "a:3: ._terms"]
+
+
+def test_only_laurent_reads_a_polynomials_terms():
+    trees = {**parse_folder("src"), **parse_folder("bench")}
+    assert field_reads({"laurent": trees.pop("src/skeinkit/laurent.py")}, ("_terms",))
+    found = field_reads(trees, ("_terms",))
+    assert not found, "polynomial term dicts read outside laurent.py:\n" + "\n".join(found)
 
 
 # The polynomial text grammar is written once, in ``laurent.py``; the cache

@@ -265,6 +265,33 @@ def test_product_equals_the_general_product(p, q):
         assert ONE * p is p and p * ONE is p and p * 1 is p
 
 
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(monomial_strategy(), poly_strategy()),
+            poly_strategy(),
+            poly_strategy(),
+            st.sampled_from(["plain", "full", "partial"]),
+        ),
+        max_size=4,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_sum_of_products_equals_the_sum(draws):
+    # A "full" draw adds a pair and its negation, a "partial" one a pair
+    # whose product the negation cancels only in part.
+    pairs = []
+    for a, b, q, kind in draws:
+        pairs.append((a, b + q if kind == "partial" else b))
+        if kind != "plain":
+            pairs.append((a * -1, b))
+    got = LaurentPoly2.sum_of_products(pairs)
+    assert got == sum((a * b for a, b in pairs), ZERO)
+    assert all(got.terms().values())
+    if all(kind == "full" for *_, kind in draws):
+        assert got == ZERO and got.is_zero
+
+
 def test_coefficients_must_be_ints():
     from fractions import Fraction
 

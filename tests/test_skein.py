@@ -16,7 +16,7 @@ from skeinkit.satellite import (
     canonical_whitehead,
     quasitoric_closure,
 )
-from skeinkit.skein import _LINE, SkeinEngine
+from skeinkit.skein import _LINE, SkeinEngine, _decompose
 
 HOPF_PLUS = LaurentPoly2({(1, 1): 1, (1, -1): 1, (3, -1): -1})
 RIGHT_TREFOIL = LaurentPoly2({(2, 0): 2, (4, 0): -1, (2, 2): 1})
@@ -218,9 +218,31 @@ def test_corrupt_cache_lines_are_refused_by_line_number(tmp_path):
         b"abc\t1*v^0*z^0",  # odd-length hex
     ]
     for line in bad_lines:
-        path.write_bytes(b"ab\t1*v^0*z^0\n\n" + line + b"\n")
+        path.write_bytes(b"ab\t1*v^0*z^0\ncd\t1*v^0*z^0\n" + line + b"\n")
         with pytest.raises(CacheCorruptionError, match=r"line 3: "):
             SkeinEngine(cache_path=str(path))
+
+
+def test_cache_lines_must_be_exactly_as_saved(tmp_path):
+    # Each line must end in its newline, and nothing is stripped: a blank
+    # line, a line with surrounding space and a last line cut short are
+    # refused by their line numbers.
+    path = tmp_path / "poly.cache"
+    good = "ab\t1*v^0*z^0\n"
+    for text, lineno in [
+        (good + "\n" + good, 2),  # a blank line
+        (good + "\n", 2),  # a blank last line
+        (" " + good, 1),  # a leading space
+        (good + "cd\t1*v^0*z^0\t\n", 2),  # a trailing tab
+        (good + "cd\t1*v^0*z^0 \n", 2),  # a trailing space
+        (good + "cd\t1*v^0*z^0", 2),  # no final newline
+        (good + "cd\t2*v^2*z^0 + -1*v^4*z^0", 2),  # a line cut at a term boundary
+    ]:
+        path.write_text(text)
+        with pytest.raises(CacheCorruptionError, match=rf"bad cache line {lineno}: "):
+            SkeinEngine(cache_path=str(path))
+    path.write_text("")
+    assert SkeinEngine(cache_path=str(path)).counters()["preloaded"] == 0
 
 
 def test_cache_round_trip(tmp_path):
@@ -334,14 +356,16 @@ def test_memo_dag_of_doubled_borromean_rings_is_pinned(monkeypatch):
     # and 3,220 times and end early never, and chains that never lift
     # their first component smooth 842 and 951 times (both before R1/R2
     # results took the smallest id on their runs).  The code searches
-    # pin what the crossings -> code table saves.  A ``reduced`` call with
-    # a crossing is a smoothing, one without is a chain end at a bigon,
-    # and a ``lifted`` call is a chain end with the first component on top.
+    # pin what the crossings -> code table saves; they count the failed
+    # whole search of a split result (one, at top sign -1) and then its
+    # pieces' searches.  A ``reduced`` call with a crossing is a smoothing,
+    # one without is a chain end at a bigon, and a ``lifted`` call is a
+    # chain end with the first component on top.
     calls = []
     for cls, name in (
         (_WorkingDiagram, "reduced"),
         (_WorkingDiagram, "lifted"),
-        (LinkDiagram, "canonical_code"),
+        (LinkDiagram, "_connected_code"),
     ):
         method = getattr(cls, name)
 
@@ -352,7 +376,7 @@ def test_memo_dag_of_doubled_borromean_rings_is_pinned(monkeypatch):
         monkeypatch.setattr(cls, name, counting)
     pins = (
         (1, 390, 346, 488, 307, 34, 675, "2092c58b20e7aa049414caada3b925faedf1029e9ea7ca0cba6a5fa0f06cb821"),
-        (-1, 427, 386, 544, 340, 53, 726, "17af9ceea3c9d575796130833126d8260c5edfba512f18d1340401e5abe8d68c"),
+        (-1, 427, 386, 544, 340, 53, 727, "17af9ceea3c9d575796130833126d8260c5edfba512f18d1340401e5abe8d68c"),
     )
     for top_sign, nodes, hits, smoothed, reduced, lifted, searches, digest in pins:
         calls.clear()
@@ -362,8 +386,37 @@ def test_memo_dag_of_doubled_borromean_rings_is_pinned(monkeypatch):
         assert e.counters()["memo_hits"] == hits
         assert (calls.count("smoothed"), calls.count("reduced")) == (smoothed, reduced)
         assert calls.count("lifted") == lifted
-        assert calls.count("canonical_code") == searches
+        assert calls.count("_connected_code") == searches
         assert memo_key_digest(e) == digest
+
+
+def test_a_chain_result_decomposes_as_its_split_pieces(monkeypatch):
+    # Every chain result of W2(beta_2) with top sign -1, and a root of two
+    # trefoils, decomposes as ``split_pieces`` followed by a search of each
+    # piece: the same pieces in the same order, exponent and codes.  The one
+    # split result among the chain results and the split root are searched
+    # whole first; that failed search leaves no table entry for their tuples.
+    results = []
+
+    def recording(d, removed, codes):
+        results.append((d, removed))
+        return _decompose(d, removed, codes)
+
+    monkeypatch.setattr("skeinkit.skein._decompose", recording)
+    SkeinEngine().homfly(blackboard_double(quasitoric_closure(2, -1)))
+    split = [d for d, _ in results if len(d.split_pieces()) > 1]
+    assert len(split) == 1
+    results.append(from_braid_closure(BraidWord(5, (1, 1, 1, 3, 3, 3))).simplify())
+    split.append(results[-1][0])
+    for d, removed in results:
+        pieces = d.split_pieces()
+        codes = {}
+        exponent, coded = _decompose(d, removed, codes)
+        assert exponent == removed + len(pieces) - 1
+        assert [(code, p.crossings) for code, p in coded] == [(p.canonical_code(), p.crossings) for p in pieces]
+        assert codes == {p.crossings: code for code, p in coded}
+        assert (d.crossings in codes) == (len(pieces) == 1)
+    assert all(d._connected_code() is None for d in split)
 
 
 def test_memo_dag_of_mirrored_figure_eight_whitehead_doubles_is_pinned():
@@ -565,17 +618,17 @@ def test_canonical_code_format_is_pinned():
 def oracle_load(path) -> dict:
     """The strict eager loader: parse every line on load, refuse a conflict there.
 
-    A line loads iff it is lowercase hex of even length, a TAB, and text that
-    ``parse_text`` accepts.  It is the reference for which lines load, which
-    raise (with their line numbers) and which values they give."""
+    A line loads iff it ends in its newline and, before it, is lowercase hex
+    of even length, a TAB, and text that ``parse_text`` accepts.  It is the
+    reference for which lines load, which raise (with their line numbers)
+    and which values they give."""
     memo = {}
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            code_hex, _, poly_text = line.partition("\t")
+            code_hex, _, poly_text = line.removesuffix("\n").partition("\t")
             try:
+                if not line.endswith("\n"):
+                    raise ValueError("no newline")
                 if not code_hex or set(code_hex) - set("0123456789abcdef") or len(code_hex) % 2:
                     raise ValueError("not lowercase hex of even length")
                 code, value = bytes.fromhex(code_hex), LaurentPoly2.parse_text(poly_text)
@@ -639,11 +692,12 @@ def cache_line():
     return st.one_of(saved_shape, other)
 
 
-@given(st.lists(st.one_of(cache_line(), st.just("")), min_size=1, max_size=6))
+@given(st.lists(st.one_of(cache_line(), st.just("")), min_size=1, max_size=6), st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_loader_matches_the_eager_oracle(tmp_path_factory, lines):
+def test_loader_matches_the_eager_oracle(tmp_path_factory, lines, cut):
     path = tmp_path_factory.mktemp("cache") / "poly.cache"
-    path.write_text("".join(line + "\n" for line in lines), encoding="ascii")
+    text = "".join(line + "\n" for line in lines)
+    path.write_text(text[:-1] if cut else text, encoding="ascii")
     assert outcome(engine_load, path) == outcome(oracle_load, path)
 
 
